@@ -118,9 +118,23 @@ pub fn cmd_decide(program: &mut Program) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The `engine:` report line: the lane count, the wall in ms (µs below
+/// 1 ms, so a tiny chase does not read as zero), and the phase split.
+fn engine_line(threads: usize, stats: &nuchase_engine::ChaseStats) -> String {
+    let wall = if stats.wall_secs >= 1e-3 {
+        format!("{:.3} ms", stats.wall_secs * 1e3)
+    } else {
+        format!("{:.1} µs", stats.wall_secs * 1e6)
+    };
+    format!(
+        "engine: threads {threads}, wall: {wall} ({})",
+        stats.phase_summary()
+    )
+}
+
 /// `nuchase run`: run the chase with a budget; optionally print atoms.
-/// `threads = 0` runs the sequential reference engine, `n ≥ 1` the
-/// parallel executor with `n` workers (results are identical either way).
+/// `threads` is the engine's lane count: `n ≥ 2` lets `n − 1` scheduler
+/// threads help drain wide rounds (results are identical either way).
 /// `trace` names a JSONL file to receive a counters-level telemetry
 /// trace of the run (telemetry stays off when `None`).
 pub fn cmd_run(
@@ -165,16 +179,7 @@ pub fn cmd_run(
         result.stats.rounds,
         result.stats.triggers_fired,
     );
-    let _ = writeln!(
-        out,
-        "engine: {}, wall: {:.3} s ({})",
-        match threads {
-            0 => "sequential".to_string(),
-            n => format!("parallel ×{n}"),
-        },
-        result.stats.wall_secs,
-        result.stats.phase_summary(),
-    );
+    let _ = writeln!(out, "{}", engine_line(threads, &result.stats));
     if let Some(path) = trace {
         let mut snap = *result
             .telemetry
@@ -246,16 +251,7 @@ pub fn cmd_profile(
         stats.triggers_considered,
         stats.triggers_fired,
     );
-    let _ = writeln!(
-        out,
-        "engine: {}, wall: {:.3} s ({})",
-        match threads {
-            0 => "sequential".to_string(),
-            n => format!("parallel ×{n}"),
-        },
-        stats.wall_secs,
-        stats.phase_summary(),
-    );
+    let _ = writeln!(out, "{}", engine_line(threads, stats));
     let _ = writeln!(
         out,
         "memory: instance {} B peak (table load {:.2}, {} index spills), nulls {} B peak",
@@ -828,8 +824,14 @@ mod tests {
         assert!(out.contains("terminated"));
         assert!(out.contains("s(a, _:n0)"));
         assert!(out.contains("program: 1 rules"), "{out}");
-        assert!(out.contains("engine: sequential"), "{out}");
+        assert!(out.contains("engine: threads 0"), "{out}");
         assert!(out.contains("enumerate"), "{out}");
+        // A sub-millisecond chase prints its wall in µs, not as zero.
+        let line = out.lines().find(|l| l.starts_with("engine:")).unwrap();
+        let wall = line.split("wall: ").nth(1).unwrap();
+        let (value, unit) = wall.split_once(' ').unwrap();
+        assert!(value.parse::<f64>().unwrap() > 0.0, "{line}");
+        assert!(unit.starts_with("ms") || unit.starts_with("µs"), "{line}");
     }
 
     #[test]
@@ -837,7 +839,7 @@ mod tests {
         let p = program("e(a, b).\ne(b, c).\ne(X, Y), e(Y, Z) -> e(X, Z).");
         let seq = cmd_run(&p, 10_000, true, 0, None).unwrap();
         let par = cmd_run(&p, 10_000, true, 3, None).unwrap();
-        assert!(par.contains("engine: parallel ×3"), "{par}");
+        assert!(par.contains("engine: threads 3"), "{par}");
         // Identical materialization, line for line, after the engine line.
         let atoms = |s: &str| {
             s.lines()

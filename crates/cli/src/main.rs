@@ -2,12 +2,14 @@
 //!
 //! ```text
 //! nuchase decide  <program>                 termination verdicts + size bound
-//! nuchase run     <program> [--atoms N] [--print] [--trace out.jsonl]
+//! nuchase run     <program> [--atoms N] [--print] [--threads N]
+//!                 [--trace out.jsonl]
 //! nuchase explain <program>                 critical predicates, Q_Σ, supporters
 //! nuchase bounds  <program>                 the paper's d_C / f_C bounds
 //! nuchase query   <program> "<body> ? X, Y" certain answers over the chase
 //! nuchase profile <program> [data]          full telemetry: per-rule table,
-//!                 [--trace out.jsonl] [--chrome out.json] [--rules-top N]
+//!                 [--atoms N] [--threads N] [--rules-top N]
+//!                 [--trace out.jsonl] [--chrome out.json]
 //! nuchase serve   <program> [--threads N] [--atoms N] [--socket path]
 //!                 line-delimited chase requests on stdin (or the unix
 //!                 socket), answered in request order
@@ -15,7 +17,9 @@
 //!
 //! `<program>` is a file in the Datalog± text format (see README), or `-`
 //! for stdin. `profile` accepts an optional second file holding extra
-//! database facts to chase the program over.
+//! database facts to chase the program over. Each subcommand accepts
+//! exactly the flags and positionals above: anything else is a usage
+//! error (exit code 2).
 
 use std::io::Read;
 
@@ -48,45 +52,120 @@ fn usage() -> ! {
          \x20         '<id> ok|error …' response each, in request order\n\
          \x20         [--atoms N] [--threads N] [--socket path]\n\
          \n\
-         --threads 0 runs the sequential engine (default), N >= 1 the parallel\n\
-         executor, 'auto' all cores; NUCHASE_THREADS sets the default.\n\
+         --threads N: execution lanes. Every setting runs the same chase;\n\
+         N >= 2 adds N - 1 scheduler threads that help drain wide rounds,\n\
+         0 (default) or 1 is the calling thread alone, 'auto' all cores.\n\
+         Results are identical at every setting; NUCHASE_THREADS sets the default.\n\
          NUCHASE_TELEMETRY=off|counters|full enables telemetry on any run."
     );
     std::process::exit(2);
 }
 
-/// The value of `--flag <value>`, if present (error when the flag is
-/// given without a value).
-fn flag_value<'a>(
-    args: &'a [String],
-    flag: &str,
-) -> Result<Option<&'a str>, nuchase_cli::CliError> {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => Ok(Some(v.as_str())),
-            _ => Err(format!("{flag} requires a value").into()),
-        },
-        None => Ok(None),
-    }
+/// What one subcommand accepts after its name: flags taking a value,
+/// switches, and at most `positionals` positionals (the program first).
+struct Spec {
+    values: &'static [&'static str],
+    switches: &'static [&'static str],
+    positionals: usize,
 }
 
-/// Resolves the worker count: `--threads N|auto` beats `NUCHASE_THREADS`,
-/// which beats the sequential default (0). A `--threads` flag without a
-/// usable value is an error, not a silent fallback.
-fn resolve_threads(args: &[String]) -> Result<usize, nuchase_cli::CliError> {
-    let setting = match args.iter().position(|a| a == "--threads") {
-        Some(i) => match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => Some(v.clone()),
-            _ => return Err("--threads requires a value (a worker count or 'auto')".into()),
-        },
-        None => nuchase_engine::config::env_str("NUCHASE_THREADS"),
+fn spec(cmd: &str) -> Option<Spec> {
+    let spec = |values, switches, positionals| Spec {
+        values,
+        switches,
+        positionals,
     };
-    match setting.as_deref() {
-        None => Ok(0),
-        Some("auto") => Ok(nuchase_engine::auto_threads()),
-        Some(s) => s
-            .parse::<usize>()
-            .map_err(|_| format!("--threads: expected a number or 'auto', got '{s}'").into()),
+    Some(match cmd {
+        "decide" | "explain" | "bounds" => spec(&[], &[], 1),
+        "run" => spec(&["--atoms", "--threads", "--trace"], &["--print"], 1),
+        "query" => spec(&[], &[], 2),
+        "profile" => spec(
+            &["--atoms", "--threads", "--rules-top", "--trace", "--chrome"],
+            &[],
+            2,
+        ),
+        "serve" => spec(&["--atoms", "--threads", "--socket"], &[], 1),
+        _ => return None,
+    })
+}
+
+/// A subcommand's arguments, checked against its [`Spec`].
+#[derive(Default)]
+struct Args {
+    positional: Vec<String>,
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+}
+
+/// Why a command line did not parse.
+enum ArgError {
+    /// An unknown flag, a missing program, or too many positionals.
+    Usage,
+    /// A known flag given without its value.
+    MissingValue(&'static str),
+}
+
+impl Args {
+    fn parse(spec: &Spec, tokens: &[String]) -> Result<Args, ArgError> {
+        let mut args = Args::default();
+        let mut tokens = tokens.iter();
+        while let Some(token) = tokens.next() {
+            if let Some(&flag) = spec.values.iter().find(|&&f| f == token) {
+                match tokens.next() {
+                    Some(v) if !v.starts_with("--") => args.values.push((flag, v.clone())),
+                    _ => return Err(ArgError::MissingValue(flag)),
+                }
+            } else if let Some(&flag) = spec.switches.iter().find(|&&f| f == token) {
+                args.switches.push(flag);
+            } else if token.starts_with("--") {
+                return Err(ArgError::Usage);
+            } else {
+                args.positional.push(token.clone());
+            }
+        }
+        if args.positional.is_empty() || args.positional.len() > spec.positionals {
+            return Err(ArgError::Usage);
+        }
+        Ok(args)
+    }
+
+    /// The value of `--flag <value>`, if given.
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    fn switch(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
+    }
+
+    /// A numeric flag's value, or `default` when the flag is absent.
+    fn number(&self, flag: &str, default: usize) -> Result<usize, nuchase_cli::CliError> {
+        match self.value(flag) {
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("{flag}: expected a number, got '{v}'").into()),
+            None => Ok(default),
+        }
+    }
+
+    /// Resolves the lane count: `--threads N|auto` beats
+    /// `NUCHASE_THREADS`, which beats the default (0, the calling thread
+    /// alone).
+    fn threads(&self) -> Result<usize, nuchase_cli::CliError> {
+        let setting = self
+            .value("--threads")
+            .map(String::from)
+            .or_else(|| nuchase_engine::config::env_str("NUCHASE_THREADS"));
+        match setting.as_deref() {
+            None => Ok(0),
+            Some("auto") => Ok(nuchase_engine::auto_threads()),
+            Some(s) => s
+                .parse::<usize>()
+                .map_err(|_| format!("--threads: expected a number or 'auto', got '{s}'").into()),
+        }
     }
 }
 
@@ -109,63 +188,62 @@ fn install_panic_hook() {
 
 fn main() {
     install_panic_hook();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, path) = match (args.first(), args.get(1)) {
-        (Some(c), Some(p)) => (c.as_str(), p.as_str()),
-        _ => usage(),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = argv.split_first() else {
+        usage()
+    };
+    let cmd = cmd.as_str();
+    let Some(spec) = spec(cmd) else { usage() };
+    let args = match Args::parse(&spec, rest) {
+        Ok(args) => args,
+        Err(ArgError::Usage) => usage(),
+        Err(ArgError::MissingValue(flag)) => {
+            eprintln!("nuchase: {flag} requires a value");
+            std::process::exit(1);
+        }
     };
     let run = || -> Result<String, nuchase_cli::CliError> {
-        let mut program = read_program(path)?;
+        let mut program = read_program(&args.positional[0])?;
         match cmd {
             "decide" => nuchase_cli::cmd_decide(&mut program),
-            "run" => {
-                let atoms = flag_value(&args, "--atoms")?
-                    .map(str::parse::<usize>)
-                    .transpose()?
-                    .unwrap_or(1_000_000);
-                let print = args.iter().any(|a| a == "--print");
-                let threads = resolve_threads(&args)?;
-                let trace = flag_value(&args, "--trace")?;
-                nuchase_cli::cmd_run(&program, atoms, print, threads, trace)
-            }
+            "run" => nuchase_cli::cmd_run(
+                &program,
+                args.number("--atoms", 1_000_000)?,
+                args.switch("--print"),
+                args.threads()?,
+                args.value("--trace"),
+            ),
             "explain" => nuchase_cli::cmd_explain(&mut program),
             "bounds" => nuchase_cli::cmd_bounds(&program),
             "query" => {
-                let q = args.get(2).ok_or("query text required")?;
+                let q = args.positional.get(1).ok_or("query text required")?;
                 nuchase_cli::cmd_query(&mut program, q, 1_000_000)
             }
             "profile" => {
                 // Optional second positional: a file of extra database
                 // facts, parsed into the program's symbol table.
-                if let Some(data) = args.get(2).filter(|a| !a.starts_with("--")) {
+                if let Some(data) = args.positional.get(1) {
                     let text = std::fs::read_to_string(data)?;
                     let extra = nuchase_model::parse_database(&text, &mut program.symbols)?;
                     for atom in extra.iter() {
                         program.database.insert_terms(atom.pred, atom.args);
                     }
                 }
-                let atoms = flag_value(&args, "--atoms")?
-                    .map(str::parse::<usize>)
-                    .transpose()?
-                    .unwrap_or(1_000_000);
-                let threads = resolve_threads(&args)?;
-                let rules_top = flag_value(&args, "--rules-top")?
-                    .map(str::parse::<usize>)
-                    .transpose()?
-                    .unwrap_or(20);
-                let trace = flag_value(&args, "--trace")?;
-                let chrome = flag_value(&args, "--chrome")?;
-                nuchase_cli::cmd_profile(&program, atoms, threads, rules_top, trace, chrome)
+                nuchase_cli::cmd_profile(
+                    &program,
+                    args.number("--atoms", 1_000_000)?,
+                    args.threads()?,
+                    args.number("--rules-top", 20)?,
+                    args.value("--trace"),
+                    args.value("--chrome"),
+                )
             }
-            "serve" => {
-                let atoms = flag_value(&args, "--atoms")?
-                    .map(str::parse::<usize>)
-                    .transpose()?
-                    .unwrap_or(1_000_000);
-                let threads = resolve_threads(&args)?;
-                let socket = flag_value(&args, "--socket")?;
-                nuchase_cli::cmd_serve(&mut program, atoms, threads, socket)
-            }
+            "serve" => nuchase_cli::cmd_serve(
+                &mut program,
+                args.number("--atoms", 1_000_000)?,
+                args.threads()?,
+                args.value("--socket"),
+            ),
             _ => usage(),
         }
     };

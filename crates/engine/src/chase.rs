@@ -124,7 +124,7 @@ impl ChaseBudget {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ApplyPath {
     /// Decide per round: micro-rounds — delta under
-    /// [`ChaseConfig::fused_delta_max`] and trigger count under
+    /// [`crate::phase::FUSED_DELTA_MAX`] and trigger count under
     /// [`crate::phase::FUSED_TRIGGER_MAX`] — take the fused
     /// straight-line path, wide rounds the staged pipeline. The
     /// `NUCHASE_FORCE_PIPELINE` environment variable (`1` forces the
@@ -148,7 +148,7 @@ pub enum ApplyPath {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum BatchEnum {
     /// Decide per round: deltas of at least
-    /// [`ChaseConfig::batch_delta_min`] atoms take the batch path, narrow
+    /// [`crate::phase::BATCH_DELTA_MIN`] atoms take the batch path, narrow
     /// rounds the backtracking search. The `NUCHASE_FORCE_BATCH_ENUM`
     /// environment variable (`1` forces the batch path for every
     /// non-fused round, `0` disables it) overrides the decision run-wide.
@@ -174,10 +174,13 @@ pub struct ChaseConfig {
     pub build_forest: bool,
     /// Record per-atom derivation provenance (rule + body image).
     pub record_provenance: bool,
-    /// Worker count for trigger enumeration. `0` (the default) runs the
-    /// sequential reference engine; `n ≥ 1` runs the parallel executor
-    /// ([`crate::parallel`]) with `n` workers — results are byte-identical
-    /// either way (same atoms at the same indexes, same null ids).
+    /// Execution lanes. Every setting runs the same round loop on the
+    /// calling thread; at `n ≥ 2` the engine keeps `n − 1` scheduler
+    /// threads that help drain wide rounds' enumerate units and resolve
+    /// ranges ([`crate::sched`]). `0` (the default) and `1` both mean
+    /// the calling thread alone. Results and work counters are
+    /// byte-identical at every setting (same atoms at the same indexes,
+    /// same null ids).
     pub threads: usize,
     /// Apply-path selection (see [`ApplyPath`]); results are identical
     /// for every choice.
@@ -185,19 +188,6 @@ pub struct ChaseConfig {
     /// Batch-enumeration selection for wide rounds (see [`BatchEnum`]);
     /// results are identical for every choice.
     pub batch_enum: BatchEnum,
-    /// Largest delta (in atoms) an [`ApplyPath::Auto`] round may have and
-    /// still take the fused micro-round path. Overridden by the
-    /// `NUCHASE_FUSED_DELTA_MAX` environment variable when set.
-    pub fused_delta_max: u32,
-    /// Smallest delta (in atoms) a [`BatchEnum::Auto`] round must have to
-    /// take the batch enumeration path. Overridden by the
-    /// `NUCHASE_BATCH_DELTA_MIN` environment variable when set.
-    pub batch_delta_min: u32,
-    /// Smallest planned-trigger count for which the parallel executor
-    /// fans the resolve stage out to the worker pool; smaller batches
-    /// resolve inline on the coordinator. Overridden by the
-    /// `NUCHASE_RESOLVE_POOL_MIN` environment variable when set.
-    pub resolve_pool_min: usize,
     /// How much run telemetry to collect (see [`crate::telemetry`]).
     /// [`TelemetryLevel::Off`] (the default) may be raised run-wide by
     /// the `NUCHASE_TELEMETRY` environment variable (`counters` /
@@ -221,9 +211,6 @@ impl Default for ChaseConfig {
             threads: 0,
             apply_path: ApplyPath::default(),
             batch_enum: BatchEnum::default(),
-            fused_delta_max: crate::phase::FUSED_DELTA_MAX,
-            batch_delta_min: crate::phase::BATCH_DELTA_MIN,
-            resolve_pool_min: crate::parallel::RESOLVE_POOL_MIN,
             telemetry: TelemetryLevel::default(),
             fault_plan: FaultPlan::none(),
         }
@@ -304,8 +291,8 @@ pub struct ChaseStats {
     /// Wall-clock time of the run, in seconds.
     pub wall_secs: f64,
     /// Wall time spent enumerating triggers (phase 1 — the part that
-    /// shards across workers; under the parallel executor this is the
-    /// phase's *span*, not the summed worker time).
+    /// shards across workers; for a round shared with helpers this is
+    /// the phase's *span*, not the summed worker time).
     pub enumerate_secs: f64,
     /// Wall time of the **probe** part of enumeration: finding candidate
     /// bindings — backtracking search or batch lane-program intersection.
@@ -329,8 +316,8 @@ pub struct ChaseStats {
     pub apply_secs: f64,
     /// Wall time of the resolve stage (deterministic null id plan + head
     /// instantiation/hashing/containment against the frozen snapshot —
-    /// the part of apply that shards across workers; under the parallel
-    /// executor this is the stage's *span*). Fused micro-rounds have no
+    /// the part of apply that shards across workers; when shared with
+    /// helpers this is the stage's *span*). Fused micro-rounds have no
     /// separate resolve stage and contribute nothing here.
     pub resolve_secs: f64,
     /// Wall time of the commit stage — the remaining serial section:
@@ -339,9 +326,9 @@ pub struct ChaseStats {
     /// whole apply pass (its dedup, nulls, instantiation, and inserts are
     /// one straight-line loop) is accounted here.
     pub commit_secs: f64,
-    /// Wall time of parallel-executor bookkeeping outside the phase
-    /// spans: releasing the workers at end of run and moving the shared
-    /// round state back out of the pool. Zero on sequential runs.
+    /// Wall time of shared-run bookkeeping outside the phase spans:
+    /// taking a run that shared phases with helpers off the scheduler's
+    /// board at its end. Zero on runs that never shared a phase.
     /// Separate from [`ChaseStats::commit_secs`] so the phase sums stay
     /// honest (`enumerate + dedup + apply + pool` covers the wall).
     pub pool_secs: f64,
@@ -369,9 +356,9 @@ pub struct ChaseStats {
     /// the block collectors' [`TermTupleSet::insert_batch`](crate::dedup::TermTupleSet::insert_batch)/
     /// [`TermTupleSet::locate_batch`](crate::dedup::TermTupleSet::locate_batch)
     /// passes plus the fused path's per-trigger probe queue (null-intern
-    /// and head-atom prefetches). Serial executors book every probe;
-    /// pooled rounds book only the coordinator's share (worker spans
-    /// overlap, mirroring the probe/emit split). `absorb` sums.
+    /// and head-atom prefetches). Every enumerate unit's probes are
+    /// booked, whoever drained it, so the count is the same at every
+    /// thread count. `absorb` sums.
     pub batched_probes: usize,
     /// High-water mark of the software prefetch queue: how many probes
     /// were in flight ahead of the walk that consumed them (the batch
@@ -390,7 +377,7 @@ pub struct ChaseStats {
     /// the bounded retry loop. `absorb` sums.
     pub retries: usize,
     /// Wall time this session spent waiting on the shared scheduler
-    /// ([`crate::sched`]): for a blocking pooled run, the coordinator's
+    /// ([`crate::sched`]): for a blocking run, the coordinator's
     /// end-of-phase waits for helper stragglers; for a submitted job
     /// ([`crate::session::Engine::submit`]), the time its slices sat
     /// queued behind other tenants. An *overlapping* gauge, not a phase:
@@ -410,8 +397,8 @@ pub struct ChaseStats {
 /// Probe-locality accounting carried out of the batch collectors and the
 /// fused probe queue: how many probes went through the batched/prefetched
 /// API and how deep the prefetch queue ran. Accumulated in
-/// [`WorkerScratch`](crate::phase::WorkerScratch), drained by the round
-/// drivers into [`ChaseStats::note_probe_flow`].
+/// [`WorkerScratch`](crate::phase::WorkerScratch), drained per round (or
+/// per shared unit) into [`ChaseStats::note_probe_flow`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProbeFlow {
     /// Probes issued through a batched (binned + prefetched) pass.
@@ -488,8 +475,8 @@ impl ChaseStats {
     /// `enumerate_secs` (the inputs of the bench harness's
     /// `batch_speedup`), `resolve` and `commit` partition `apply_secs`;
     /// only `commit` (plus `dedup`) is inherently serial, and fused
-    /// micro-rounds land entirely in `commit`. Pooled runs append their
-    /// ` · pool` bookkeeping share.
+    /// micro-rounds land entirely in `commit`. Runs that shared phases
+    /// with helpers append their ` · pool` bookkeeping share.
     pub fn phase_summary(&self) -> String {
         let pct = |s: f64| 100.0 * s / self.wall_secs.max(1e-12);
         let mut out = format!(
@@ -610,44 +597,19 @@ impl ChaseResult {
     }
 }
 
-/// Runs the chase of `database` w.r.t. `tgds` under `config`.
+/// Runs the chase of `database` w.r.t. `tgds` under `config` — at any
+/// [`ChaseConfig::threads`], with byte-identical results.
 ///
-/// Dispatches on [`ChaseConfig::threads`]: `0` runs the sequential
-/// reference engine ([`sequential_chase`]), `n ≥ 1` the parallel
-/// executor ([`crate::parallel::chase_parallel`]). Both produce
-/// byte-identical results.
-///
-/// This and its siblings are documented, delegating shims over the
-/// prepared-program engine ([`crate::session`]): each call compiles
-/// `tgds` into a transient [`PreparedProgram`] and runs a one-shot
-/// [`Engine`]. Callers chasing many databases against one Σ should
-/// prepare once and reuse an engine — see the session module docs.
+/// A one-shot shortcut over the prepared-program engine
+/// ([`crate::session`]): each call compiles `tgds` into a transient
+/// [`PreparedProgram`] and runs a one-shot [`Engine`] (whose scheduler,
+/// at `threads ≥ 2`, lives for this call). Callers chasing many
+/// databases against one Σ should prepare once and reuse an engine —
+/// see the session module docs.
 pub fn chase(database: &Instance, tgds: &TgdSet, config: &ChaseConfig) -> ChaseResult {
-    if config.threads >= 1 {
-        crate::parallel::chase_parallel(database, tgds, config)
-    } else {
-        sequential_chase(database, tgds, config)
-    }
-}
-
-/// The sequential reference engine: one thread, rule-at-a-time
-/// enumeration through the [`crate::phase`] split. Ignores
-/// [`ChaseConfig::threads`].
-///
-/// A documented, delegating shim: the round loop itself lives in the
-/// session engine ([`crate::session`]) — this compiles `tgds` into a
-/// transient [`PreparedProgram`] and runs a one-shot [`Engine`] chase,
-/// byte-identical to the pre-session sequential engine (pinned by the
-/// differential suites). Long-lived callers should prepare the program
-/// once and reuse an engine instead of paying the per-call compile.
-pub fn sequential_chase(database: &Instance, tgds: &TgdSet, config: &ChaseConfig) -> ChaseResult {
     let started = Instant::now();
     let program = PreparedProgram::compile(tgds.clone());
-    let engine = Engine::from_config(&ChaseConfig {
-        threads: 0,
-        ..*config
-    });
-    engine.chase_with_mark(&program, database, started)
+    Engine::from_config(config).chase_with_mark(&program, database, started)
 }
 
 /// Convenience: runs the semi-oblivious chase with an atom budget.

@@ -13,10 +13,7 @@
 //! | `NUCHASE_FORCE_PIPELINE` | `1`/`true`, `0`/`false` | Forces the staged pipeline apply path on (`1`) or the fused micro-round path (`0`); unset = auto per round. |
 //! | `NUCHASE_FORCE_BATCH_ENUM` | `1`/`true`, `0`/`false` | Forces columnar batch enumeration on (`1`) or off (`0`) for non-fused rounds; unset = auto by delta width. |
 //! | `NUCHASE_FORCE_BUCKET_LAYOUT` | `1`/`true`, `0`/`false` | Probe-table layout: cache-line-bucketized open addressing (`1`, the default) or the pre-bucketization linear layout (`0`). Parsed in `model::hash` (resolved once per process). |
-//! | `NUCHASE_FUSED_DELTA_MAX` | integer | Delta ceiling (atoms) for a round to take the fused path under auto. |
-//! | `NUCHASE_BATCH_DELTA_MIN` | integer | Delta floor (atoms) for a non-fused round to take batch enumeration under auto. |
-//! | `NUCHASE_RESOLVE_POOL_MIN` | integer | Trigger floor for the pooled (parallel) resolve stage. |
-//! | `NUCHASE_THREADS` | integer or `auto` | Default worker count for the parallel executor (CLI; `0` = sequential). |
+//! | `NUCHASE_THREADS` | integer or `auto` | Default `--threads` for the CLI: execution lanes, where `N ≥ 2` lets scheduler helpers drain wide rounds alongside the calling thread (`0`/`1` = the calling thread alone; `auto` = all cores). |
 //! | `NUCHASE_TELEMETRY` | `off`, `counters`, `full` | Telemetry level when the config leaves it `Off`. |
 //! | `NUCHASE_TELEMETRY_RING` | integer | Round-event ring capacity (default 4096). |
 //! | `NUCHASE_TELEMETRY_STRIDE` | integer | Fixed round-sampling stride (default: auto-doubling). |

@@ -152,7 +152,7 @@ impl TermTupleSet {
     }
 
     /// Empties the set, keeping the tables and arena allocations — the
-    /// recycling path for per-task dedup in the parallel executor.
+    /// recycling path for per-task dedup in the enumerators.
     /// Costs O(tuples inserted since the last clear) unless a rehash
     /// intervened (then one O(capacity) wipe per grown partition).
     pub fn clear(&mut self) {

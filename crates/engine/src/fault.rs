@@ -7,10 +7,10 @@
 //!
 //! * [`ChaseError`] — the typed error carried by
 //!   [`ChaseOutcome::Failed`](crate::ChaseOutcome::Failed), built from a
-//!   caught panic payload at the engine's four `catch_unwind` layers
-//!   (the session round loop, the pooled coordinator, the pool worker
-//!   task bodies, and the scheduler's job slices — a panicking
-//!   submitted job fails only itself);
+//!   caught panic payload at the engine's two `catch_unwind` layers
+//!   (every run of the round loop — a session run or a scheduler job
+//!   slice, so a panicking submitted job fails only itself — and each
+//!   drainer's shared unit bodies);
 //! * plan resolution — a programmatic
 //!   [`ChaseConfig::fault_plan`](crate::ChaseConfig::fault_plan) wins,
 //!   else the `NUCHASE_FAULT_PLAN` environment knob

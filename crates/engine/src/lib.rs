@@ -15,16 +15,19 @@
 //! paper's size-bound experiments.
 //!
 //! Each chase round splits into a read-only **enumerate** phase and a
-//! deterministic **apply** phase ([`phase`]); the [`parallel`] executor
-//! shards the former over a worker pool ([`ChaseConfig::threads`]) while
-//! keeping results byte-identical to the sequential engine.
+//! deterministic **apply** phase ([`phase`]). Every chase runs one
+//! round loop ([`session`]) at every thread count;
+//! [`ChaseConfig::threads`] decides only who drains a wide round's
+//! enumerate units and resolve ranges — the calling thread alone, or
+//! together with the scheduler's helpers ([`sched`]) — and results are
+//! byte-identical either way.
 //!
 //! The public engine surface is the prepared-program API ([`session`]):
 //! compile a TGD set once into a [`PreparedProgram`], build an
 //! [`Engine`] (persistent worker pool, recycled buffers), and drive
 //! [`ChaseSession`]s — budgeted runs, incremental `add_atoms`/`resume`,
-//! cancellation and deadlines. The classic free functions ([`chase()`]
-//! and friends) remain as documented, delegating shims.
+//! cancellation and deadlines. The free function [`chase()`] is a
+//! one-shot shortcut over the same engine.
 //!
 //! Many sessions multiplex over one engine without serializing: the
 //! shared scheduler ([`sched`]) lets concurrent runs share the worker
@@ -53,7 +56,8 @@ pub mod dedup;
 pub mod fault;
 pub mod forest;
 pub mod nulls;
-pub mod parallel;
+#[cfg(test)]
+mod parallel;
 pub mod phase;
 pub mod provenance;
 pub mod sched;
@@ -62,15 +66,14 @@ pub mod telemetry;
 
 pub use baseline::{baseline_semi_oblivious_chase, BaselineResult};
 pub use chase::{
-    chase, semi_oblivious_chase, sequential_chase, ApplyPath, BatchEnum, ChaseBudget, ChaseConfig,
-    ChaseOutcome, ChaseResult, ChaseStats, ChaseVariant, ProbeFlow,
+    chase, semi_oblivious_chase, ApplyPath, BatchEnum, ChaseBudget, ChaseConfig, ChaseOutcome,
+    ChaseResult, ChaseStats, ChaseVariant, ProbeFlow,
 };
 pub use dedup::TermTupleSet;
 pub use fault::{ChaseError, FaultPlan, FaultSite};
 pub use forest::Forest;
 pub use nulls::{NullKey, NullStore};
-pub use parallel::{auto_threads, chase_parallel};
 pub use provenance::{explain, Derivation, Explanation, Provenance};
-pub use sched::JobHandle;
+pub use sched::{auto_threads, JobHandle};
 pub use session::{ChaseSession, Engine, EngineBuilder, PreparedProgram, RunLimits};
 pub use telemetry::{RoundEvent, RoundPath, RuleTelemetry, TelemetryLevel, TelemetrySnapshot};

@@ -196,7 +196,7 @@ impl NullStore {
     /// optimistically, in canonical trigger order, before the commit loop
     /// runs — so when a budget stops the commit at trigger `j`, the nulls
     /// planned for the uncommitted tail must be unmade to match the
-    /// sequential engine (which never reaches them). Ids are assigned in
+    /// per-trigger interleaving (which never reaches them). Ids are assigned in
     /// plan order, so the tail is exactly a suffix and truncation
     /// restores the store byte-for-byte. A stop ends the chase, so the
     /// O(len) table rebuild runs at most once per run.

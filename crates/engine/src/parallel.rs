@@ -1,546 +1,13 @@
-//! The parallel chase executor: sharded trigger enumeration **and**
-//! sharded trigger resolution, with a deterministic serial commit.
-//!
-//! A chase round's enumerate phase is read-only over the instance and
-//! embarrassingly parallel over `(rule, pivot, window)` task units
-//! ([`crate::phase::Task`]); its apply phase used to be one serial loop,
-//! but only a thin slice of it truly is: after the dedup merge and the
-//! deterministic null id plan ([`crate::phase::plan_nulls`]) fix every
-//! id the round will use, **resolving** triggers (head instantiation,
-//! hashing, snapshot containment, activeness pre-checks, provenance
-//! images — [`crate::phase::resolve_range`]) is again read-only over the
-//! frozen snapshot and shards freely over accepted-trigger ranges. This
-//! executor drives both parallel stages over the engine's shared
-//! scheduler ([`crate::sched`]):
-//!
-//! * the engine owns one persistent [`Scheduler`] whose threads park
-//!   between runs — a prepared engine serving many small chases never
-//!   respawns a thread, and **concurrent sessions no longer serialize**:
-//!   each run publishes itself on the scheduler board and idle workers
-//!   help whichever run has an open phase;
-//! * each round, the coordinator publishes the canonical task list
-//!   (enumerate) and, after merge + plan, the accepted ranges (resolve);
-//!   helpers **self-schedule** over the open phase by claiming the next
-//!   unit off the run's atomic cursor;
-//! * every worker owns one [`WorkerScratch`] — trail, recycled dedup
-//!   arena, resolve buffers — so both inner loops stay allocation-free
-//!   per candidate;
-//! * the coordinator then merges the per-unit outputs back into
-//!   **canonical order** and runs the thin serial **commit**
-//!   ([`crate::phase::commit_batch`]): bulk appends of pre-resolved
-//!   atoms with deferred index splicing.
-//!
-//! # Determinism
-//!
-//! Results are **byte-identical** to [`crate::chase::sequential_chase`]
-//! at any thread count — and regardless of how many other sessions
-//! share the scheduler. This hinges on four invariants, each enforced
-//! structurally:
-//!
-//! 1. task decomposition (enumerate windows, resolve ranges) is a pure
-//!    function of the round — never of the worker count;
-//! 2. a unit's output is a pure function of the frozen round state: the
-//!    only dedup state a helper consults is the frozen previous-round
-//!    fired sets plus a *per-task* arena; the only null state, the
-//!    pre-published plan;
-//! 3. cross-task duplicate resolution happens in the serial merge, in
-//!    canonical order — which also fixes the null id plan;
-//! 4. the commit stage walks resolved ranges in canonical order, so
-//!    every insert, budget check, and restricted activeness re-check
-//!    happens exactly where the interleaved sequential engine ran it.
-//!
-//! The differential suites (`tests/properties.rs`) pin this at thread
-//! counts 1, 2, and 7 against the sequential engine, variant by
-//! variant; `tests/concurrent_sessions.rs` pins it under concurrent
-//! multi-session load.
-
-use std::sync::Arc;
-use std::time::Instant;
-
-use nuchase_model::{AtomIdx, Instance, TgdSet};
-
-use crate::chase::{ChaseConfig, ChaseOutcome, ChaseResult, ChaseStats};
-use crate::fault::ChaseError;
-use crate::phase::{
-    apply_fused, batch_round_delta, commit_batch, enumerate_task, enumerate_task_batch,
-    fused_round, fused_round_delta, lap_mark, merge_accepted, plan_nulls, prepare_round_tasks,
-    resolve_range, resolved_apply_path, resolved_batch_delta_min, resolved_batch_enum,
-    resolved_fused_delta_max, resolved_resolve_pool_min, ApplyBuffers, ApplyState, ResolvedBatch,
-    RoundCtx, RoundDriver, TriggerBatch, WorkerScratch,
-};
-use crate::sched::{RoundState, RunShared, Scheduler};
-use crate::session::{Engine, PreparedProgram, RunCtl, SessionCore};
-use crate::telemetry::RoundPath;
-
-/// The worker count `threads: 0` ("auto") resolves to: the machine's
-/// available parallelism (1 if it cannot be determined).
-pub fn auto_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Runs the chase with `config.threads.max(1)` workers. Byte-identical
-/// to [`crate::chase::sequential_chase`] at any thread count; prefer
-/// calling [`crate::chase::chase`], which dispatches on
-/// [`ChaseConfig::threads`].
-///
-/// A documented, delegating shim over the prepared-program engine
-/// ([`crate::session`]): compiles `tgds` into a transient
-/// [`PreparedProgram`] and runs a one-shot [`Engine`] whose scheduler
-/// lives for this call. Callers chasing many databases should build the
-/// engine once — its worker threads then park between runs instead of
-/// being respawned.
-pub fn chase_parallel(database: &Instance, tgds: &TgdSet, config: &ChaseConfig) -> ChaseResult {
-    let started = Instant::now();
-    let program = PreparedProgram::compile(tgds.clone());
-    let engine = Engine::from_config(&ChaseConfig {
-        threads: config.threads.max(1),
-        ..*config
-    });
-    engine.chase_with_mark(&program, database, started)
-}
-
-/// Minimum delta size (in atoms) for a round to engage the scheduler
-/// for enumeration. A deep chase spends most of its rounds on deltas of
-/// a handful of atoms — there the open/close handshake costs more than
-/// the enumeration it would shard, so the coordinator runs those rounds
-/// inline and never wakes a worker. Wide rounds (large deltas, the case
-/// parallelism exists for) cross the threshold and fan out. The choice
-/// only moves *who* enumerates, never *what*: batches are canonical
-/// either way, so results do not depend on it.
-const POOL_DELTA_MIN: AtomIdx = 2048;
-
-/// A round with at least this many tasks engages the scheduler
-/// regardless of delta size (many rules × pivots can carry real work on
-/// a small delta).
-const POOL_TASKS_MIN: usize = 16;
-
-/// Minimum accepted triggers for a round to engage the scheduler for
-/// the resolve stage; below it the coordinator resolves inline (the
-/// same handshake-vs-work tradeoff as [`POOL_DELTA_MIN`], and equally
-/// invisible in the results). This is the *default* for
-/// [`ChaseConfig::resolve_pool_min`]; each run resolves the effective
-/// floor once via [`resolved_resolve_pool_min`].
-pub(crate) const RESOLVE_POOL_MIN: usize = 1024;
-
-/// One pooled session run: moves the session's chase state — and the
-/// driver's recycled task list + apply buffers — into a fresh
-/// [`RunShared`], publishes it on the engine's scheduler board,
-/// coordinates the round loop (idle workers help the sharded phases),
-/// and moves everything back. Called by
-/// [`crate::session::ChaseSession`] for `threads ≥ 2`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_pooled(
-    sched: &Scheduler,
-    tgds: Arc<TgdSet>,
-    config: &ChaseConfig,
-    core: &mut SessionCore,
-    driver: &mut RoundDriver,
-    ctl: &mut RunCtl<'_>,
-    stats: &mut ChaseStats,
-    mark: Instant,
-) -> ChaseOutcome {
-    let round = RoundState {
-        instance: std::mem::take(&mut core.instance),
-        fired: std::mem::take(&mut core.fired),
-        tasks: std::mem::take(&mut driver.tasks),
-        apply: std::mem::take(&mut driver.bufs),
-        delta_start: core.delta_start,
-        batch: false,
-    };
-    let run = Arc::new(RunShared::new(tgds, *config, round));
-    sched.publish(&run);
-    let mut mark = mark;
-    // Panic isolation, layer 2: the coordinator's own unwinds (injected
-    // faults on inline rounds, a commit-stage panic) are caught *here*,
-    // then `quiesce` closes any open phase and waits out stragglers —
-    // so the retire and the state move-back below always run: the board
-    // clears for the other sessions and this session keeps its instance
-    // instead of losing it to the published `RunShared`.
-    let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        coordinate(sched, &run, &mut core.apply, ctl, stats, &mut mark)
-    })) {
-        Ok(outcome) => outcome,
-        Err(payload) => ChaseOutcome::Failed(ChaseError::from_panic(payload.as_ref())),
-    };
-    run.quiesce();
-    sched.retire(&run);
-    let round = std::mem::take(&mut *run.round.write().unwrap_or_else(|e| e.into_inner()));
-    core.instance = round.instance;
-    core.fired = round.fired;
-    core.delta_start = round.delta_start;
-    driver.tasks = round.tasks;
-    driver.bufs = round.apply;
-    // Run teardown (quiesce, retire, the state move) is
-    // coordinator-serial time with no serial analogue; book it in its
-    // own bucket so the phase timers keep covering the wall without
-    // inflating commit.
-    stats.pool_secs += lap_mark(&mut mark);
-    outcome
-}
-
-/// The coordinator's round loop (participates in both sharded phases).
-/// Returns the outcome that ended the run, with the final round state
-/// left in `run.round`; [`RunCtl::checkpoint`] decides round-boundary
-/// stops (hard round budget, soft limits, cancellation, deadline)
-/// exactly as the serial executors do.
-fn coordinate(
-    sched: &Scheduler,
-    run: &RunShared,
-    state: &mut ApplyState,
-    ctl: &mut RunCtl<'_>,
-    stats: &mut ChaseStats,
-    mark: &mut Instant,
-) -> ChaseOutcome {
-    let config = &run.config;
-    let mut ws = WorkerScratch::new();
-    let mut merged: Vec<(u32, TriggerBatch, usize)> = Vec::new();
-    let mut resolved: Vec<ResolvedBatch> = Vec::new();
-    let mut inline_batch = TriggerBatch::new();
-    // Resolve every env-overridable knob once per run, exactly like the
-    // serial executors' `RoundDriver::restart` — a run never changes its
-    // thresholds mid-flight even if the environment does.
-    let apply_path = resolved_apply_path(config);
-    let batch_choice = resolved_batch_enum(config);
-    let fused_delta_max = resolved_fused_delta_max(config);
-    let batch_delta_min = resolved_batch_delta_min(config);
-    let resolve_pool_min = resolved_resolve_pool_min(config);
-    let mut tasks_single = false;
-    loop {
-        // Recycle last round's arenas before anything can grow.
-        if !merged.is_empty() {
-            let mut spare = run.spare.lock().unwrap_or_else(|e| e.into_inner());
-            spare.extend(merged.drain(..).map(|(_, mut b, _)| {
-                b.clear();
-                b
-            }));
-        }
-        if !resolved.is_empty() {
-            let mut spare = run.spare_resolved.lock().unwrap_or_else(|e| e.into_inner());
-            spare.extend(resolved.drain(..).map(|mut rb| {
-                rb.clear();
-                rb
-            }));
-        }
-
-        // Prepare the round. No phase is open (so no helper holds a
-        // read guard) — the write guard is uncontended by construction.
-        let engage;
-        let delta;
-        let batched;
-        let task_count;
-        {
-            let mut round = run.round.write().unwrap_or_else(|e| e.into_inner());
-            if let Some(stop) = ctl.checkpoint(config, stats.rounds, &round.instance, &round.fired)
-            {
-                return stop;
-            }
-            stats.rounds += 1;
-            let len = round.instance.len() as AtomIdx;
-            let delta_start = round.delta_start;
-            delta = len - delta_start;
-            let RoundState { tasks, batch, .. } = &mut *round;
-            prepare_round_tasks(&run.tgds, delta_start, len, tasks, &mut tasks_single);
-            task_count = tasks.len();
-            engage = delta >= POOL_DELTA_MIN || task_count >= POOL_TASKS_MIN;
-            // Mirror `RoundDriver::begin_round`: rounds small enough to
-            // fuse never batch, wide rounds past the floor do.
-            *batch = !fused_round_delta(apply_path, delta, fused_delta_max)
-                && batch_round_delta(batch_choice, delta, batch_delta_min);
-            batched = *batch;
-            if batched {
-                stats.batched_rounds += 1;
-            }
-        }
-
-        // Enumerate phase.
-        inline_batch.clear();
-        if engage {
-            // Open the phase, wake the pool, and steal units alongside
-            // the helpers until the cursor runs dry; merge the batches
-            // back into canonical task order.
-            run.open_enumerate(task_count);
-            sched.kick();
-            run.drain(&mut ws);
-            stats.sched_wait_secs += run.close_phase();
-            stats.sched_occupancy = stats.sched_occupancy.max(sched.occupancy());
-            // A helper's unit panicked (it caught the unwind, published,
-            // and moved on): fail the run cleanly. The enumerate phase
-            // mutates nothing, so the session is still at the round
-            // boundary.
-            if let Some(err) = run.take_failure() {
-                return ChaseOutcome::Failed(err);
-            }
-            // Pooled rounds book the coordinator's stolen share of the
-            // batched probes; helper shares are discarded with their
-            // overlapping emit spans (see `crate::sched`).
-            stats.note_probe_flow(ws.take_probes());
-            merged.append(&mut run.results.lock().unwrap_or_else(|e| e.into_inner()));
-            merged.sort_unstable_by_key(|&(i, _, _)| i);
-        } else {
-            // Tiny round: enumerate inline (tasks in canonical order)
-            // without waking anyone.
-            let round = run.round.read().unwrap_or_else(|e| e.into_inner());
-            let ctx = RoundCtx {
-                tgds: &run.tgds,
-                variant: run.config.variant,
-                delta_start: round.delta_start,
-            };
-            let mut considered = 0usize;
-            let mut emit = 0.0f64;
-            for &task in &round.tasks {
-                let task_considered = if round.batch {
-                    enumerate_task_batch(
-                        &round.instance,
-                        ctx,
-                        task,
-                        &round.fired[task.rule.index()],
-                        &mut ws,
-                        &mut inline_batch,
-                        &mut emit,
-                    )
-                } else {
-                    enumerate_task(
-                        &round.instance,
-                        ctx,
-                        task,
-                        &round.fired[task.rule.index()],
-                        &mut ws,
-                        &mut inline_batch,
-                    )
-                };
-                considered += task_considered;
-                state.note_considered(task.rule, task_considered);
-            }
-            stats.triggers_considered += considered;
-            stats.note_probe_flow(ws.take_probes());
-        }
-        // Pooled enumerate sub-timers: helper-side emit spans overlap in
-        // wall time, so the whole lap is booked as probe. The split is
-        // only meaningful on the serial executors (`threads ≤ 1`), which
-        // is where the benches read it.
-        let enum_secs = lap_mark(mark);
-        stats.enumerate_secs += enum_secs;
-        stats.probe_secs += enum_secs;
-
-        let mut any = !inline_batch.is_empty();
-        let mut total_triggers = inline_batch.len();
-        for (_, batch, considered) in &merged {
-            stats.triggers_considered += considered;
-            any |= !batch.is_empty();
-            total_triggers += batch.len();
-        }
-        // Per-rule attribution of the pooled counts: helpers ship
-        // per-task `(index, batch, considered)` triples, so the
-        // coordinator folds them into the rule table lock-free (per-rule
-        // *time* is not sampled here — helper spans overlap in wall
-        // time, so a per-rule sum would be meaningless).
-        if state.telemetry.is_some() && !merged.is_empty() {
-            let round = run.round.read().unwrap_or_else(|e| e.into_inner());
-            for &(i, _, considered) in &merged {
-                state.note_considered(round.tasks[i as usize].rule, considered);
-            }
-        }
-        if !any {
-            if state.telemetry.is_some() {
-                let len = run
-                    .round
-                    .read()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .instance
-                    .len();
-                let path = if batched {
-                    RoundPath::Batched
-                } else {
-                    RoundPath::Pipeline
-                };
-                state.record_round(stats.rounds, path, delta as usize, len, stats);
-            }
-            return ChaseOutcome::Terminated;
-        }
-
-        // Micro-round fast path: apply the batches in one fused pass on
-        // the coordinator — the same straight-line loop the sequential
-        // engine's tiny rounds take, so a chain-shaped chase on the pool
-        // executor pays neither handshake nor pipeline bookkeeping.
-        // Chaining merged (canonical task order) before the inline batch
-        // preserves canonical trigger order; the fused pass's own fired
-        // inserts resolve cross-task duplicates exactly like the merge.
-        if fused_round(apply_path, delta, total_triggers, fused_delta_max) {
-            let mut round = run.round.write().unwrap_or_else(|e| e.into_inner());
-            let len_before = round.instance.len();
-            let stop = {
-                let RoundState {
-                    instance, fired, ..
-                } = &mut *round;
-                apply_fused(
-                    &run.tgds,
-                    config,
-                    instance,
-                    fired,
-                    state,
-                    &mut ws,
-                    merged
-                        .iter()
-                        .map(|(_, b, _)| b)
-                        .chain(std::iter::once(&inline_batch)),
-                    true,
-                    stats,
-                )
-            };
-            let dt = lap_mark(mark);
-            stats.commit_secs += dt;
-            stats.apply_secs += dt;
-            state.record_round(
-                stats.rounds,
-                RoundPath::Fused,
-                delta as usize,
-                round.instance.len(),
-                stats,
-            );
-            if let Some(stop) = stop {
-                return stop;
-            }
-            if round.instance.len() == len_before {
-                return ChaseOutcome::Terminated;
-            }
-            round.delta_start = len_before as AtomIdx;
-            continue;
-        }
-
-        // Apply pipeline, stage 1 — merge, serial under the write guard
-        // (no phase is open). Exactly one of `merged` / `inline_batch`
-        // is populated, so chaining them preserves canonical order
-        // either way.
-        let mut round = run.round.write().unwrap_or_else(|e| e.into_inner());
-        {
-            let RoundState { fired, apply, .. } = &mut *round;
-            merge_accepted(
-                &run.tgds,
-                run.config.variant,
-                merged
-                    .iter()
-                    .map(|(_, b, _)| b)
-                    .chain(std::iter::once(&inline_batch)),
-                fired,
-                &mut ws.key_buf,
-                &mut apply.accepted,
-            );
-        }
-        stats.dedup_secs += lap_mark(mark);
-
-        // Stage 2 — the deterministic null id plan, published into the
-        // round state for the resolve helpers.
-        {
-            let RoundState { apply, .. } = &mut *round;
-            let ApplyBuffers { accepted, plan, .. } = apply;
-            plan_nulls(
-                &run.tgds,
-                config,
-                &mut state.nulls,
-                accepted,
-                &mut ws.key_buf,
-                plan,
-            );
-        }
-        let planned = round.apply.plan.planned();
-
-        // Stage 3 — resolve: fan out over accepted ranges when the round
-        // is wide enough, inline otherwise.
-        let engage_resolve = planned >= resolve_pool_min;
-        if engage_resolve {
-            drop(round);
-            run.open_resolve(planned);
-            sched.kick();
-            run.drain(&mut ws);
-            stats.sched_wait_secs += run.close_phase();
-            stats.sched_occupancy = stats.sched_occupancy.max(sched.occupancy());
-            // Helper panic mid-resolve: fail cleanly. The fired sets
-            // were already merged this round, so the session schedules
-            // the watermark rollback + idempotent replay on resume.
-            if let Some(err) = run.take_failure() {
-                return ChaseOutcome::Failed(err);
-            }
-            resolved.append(
-                &mut run
-                    .resolve_results
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner()),
-            );
-            resolved.sort_unstable_by_key(ResolvedBatch::start);
-            round = run.round.write().unwrap_or_else(|e| e.into_inner());
-        } else {
-            let RoundState {
-                instance, apply, ..
-            } = &mut *round;
-            let ApplyBuffers {
-                accepted,
-                plan,
-                resolved: inline_resolved,
-            } = apply;
-            resolve_range(
-                instance,
-                &run.tgds,
-                config,
-                accepted,
-                plan,
-                (0, planned as u32),
-                &mut ws,
-                inline_resolved,
-            );
-        }
-        // Stage 4 — the thin serial commit, in canonical range order.
-        let resolve_secs = lap_mark(mark);
-        stats.resolve_secs += resolve_secs;
-        let len_before = round.instance.len();
-        let stop = {
-            let RoundState {
-                instance, apply, ..
-            } = &mut *round;
-            let parts: &[ResolvedBatch] = if engage_resolve {
-                &resolved
-            } else {
-                std::slice::from_ref(&apply.resolved)
-            };
-            commit_batch(
-                &run.tgds,
-                config,
-                instance,
-                state,
-                &apply.accepted,
-                &apply.plan,
-                parts,
-                stats,
-            )
-        };
-        let commit_secs = lap_mark(mark);
-        stats.commit_secs += commit_secs;
-        stats.apply_secs += resolve_secs + commit_secs;
-        state.record_round(
-            stats.rounds,
-            if batched {
-                RoundPath::Batched
-            } else {
-                RoundPath::Pipeline
-            },
-            delta as usize,
-            round.instance.len(),
-            stats,
-        );
-        if let Some(stop) = stop {
-            return stop;
-        }
-        if round.instance.len() == len_before {
-            return ChaseOutcome::Terminated;
-        }
-        round.delta_start = len_before as AtomIdx;
-    }
-}
+//! Thread-count determinism tests. Every `threads` setting runs the
+//! one round loop ([`crate::session`]); these pin that a chase at
+//! `threads ≥ 1` — with the scheduler's helpers draining wide rounds —
+//! is byte-identical to the same chase at `threads: 0`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::chase::{sequential_chase, ChaseBudget, ChaseVariant};
-    use nuchase_model::{parse_program, Atom, SymbolTable, Term, VarId};
+    use crate::chase::{chase, ChaseBudget, ChaseConfig, ChaseOutcome, ChaseResult, ChaseVariant};
+    use crate::sched::{auto_threads, RESOLVE_POOL_MIN};
+    use nuchase_model::{parse_program, Atom, Instance, SymbolTable, Term, TgdSet, VarId};
 
     fn config(threads: usize) -> ChaseConfig {
         ChaseConfig {
@@ -584,10 +51,10 @@ mod tests {
             "e(a, b).\ne(b, c).\ne(c, d).\ne(X, Y), e(Y, Z) -> e(X, Z).\ne(X, Y) -> p(X, W).",
         )
         .unwrap();
-        let reference = sequential_chase(&p.database, &p.tgds, &config(0));
+        let reference = chase(&p.database, &p.tgds, &config(0));
         assert!(reference.terminated());
         for threads in [1usize, 2, 3, 7] {
-            let par = chase_parallel(&p.database, &p.tgds, &config(threads));
+            let par = chase(&p.database, &p.tgds, &config(threads));
             assert_identical(&reference, &par, &format!("{threads} threads"));
         }
     }
@@ -597,11 +64,11 @@ mod tests {
         let p = parse_program("r(a, b).\nr(X, Y) -> r(Y, Z).").unwrap();
         let mut cfg = config(0);
         cfg.budget = ChaseBudget::atoms(500);
-        let reference = sequential_chase(&p.database, &p.tgds, &cfg);
+        let reference = chase(&p.database, &p.tgds, &cfg);
         assert_eq!(reference.outcome, ChaseOutcome::AtomLimit);
         for threads in [1usize, 2, 4] {
             cfg.threads = threads;
-            let par = chase_parallel(&p.database, &p.tgds, &cfg);
+            let par = chase(&p.database, &p.tgds, &cfg);
             assert_identical(&reference, &par, &format!("{threads} threads"));
         }
     }
@@ -611,10 +78,10 @@ mod tests {
         let p = parse_program("r(a, b).\nr(X, Y) -> r(Y, Z).").unwrap();
         let mut cfg = config(0);
         cfg.budget = ChaseBudget::depth(5, 1_000_000);
-        let reference = sequential_chase(&p.database, &p.tgds, &cfg);
+        let reference = chase(&p.database, &p.tgds, &cfg);
         assert_eq!(reference.outcome, ChaseOutcome::DepthLimit);
         cfg.threads = 3;
-        let par = chase_parallel(&p.database, &p.tgds, &cfg);
+        let par = chase(&p.database, &p.tgds, &cfg);
         assert_identical(&reference, &par, "depth budget");
     }
 
@@ -623,10 +90,10 @@ mod tests {
         let p = parse_program("r(a, b).\nr(X, Y) -> r(Y, Z).").unwrap();
         let mut cfg = config(0);
         cfg.budget.max_rounds = 7;
-        let reference = sequential_chase(&p.database, &p.tgds, &cfg);
+        let reference = chase(&p.database, &p.tgds, &cfg);
         assert_eq!(reference.outcome, ChaseOutcome::RoundLimit);
         cfg.threads = 2;
-        let par = chase_parallel(&p.database, &p.tgds, &cfg);
+        let par = chase(&p.database, &p.tgds, &cfg);
         assert_identical(&reference, &par, "round budget");
     }
 
@@ -641,11 +108,11 @@ mod tests {
         .unwrap();
         let mut cfg = config(0);
         cfg.variant = ChaseVariant::Restricted;
-        let reference = sequential_chase(&p.database, &p.tgds, &cfg);
+        let reference = chase(&p.database, &p.tgds, &cfg);
         assert!(reference.terminated());
         for threads in [1usize, 2, 7] {
             cfg.threads = threads;
-            let par = chase_parallel(&p.database, &p.tgds, &cfg);
+            let par = chase(&p.database, &p.tgds, &cfg);
             assert_identical(&reference, &par, &format!("restricted, {threads} threads"));
         }
     }
@@ -675,11 +142,11 @@ mod tests {
     #[test]
     fn pooled_resolve_matches_sequential_on_wide_rounds() {
         let (db, tgds) = wide_star(3 * RESOLVE_POOL_MIN as u32);
-        let reference = sequential_chase(&db, &tgds, &config(0));
+        let reference = chase(&db, &tgds, &config(0));
         assert!(reference.terminated());
         assert_eq!(reference.nulls.len(), 3 * RESOLVE_POOL_MIN);
         for threads in [2usize, 5] {
-            let par = chase_parallel(&db, &tgds, &config(threads));
+            let par = chase(&db, &tgds, &config(threads));
             assert_identical(&reference, &par, &format!("wide star, {threads} threads"));
         }
     }
@@ -691,11 +158,11 @@ mod tests {
         let (db, tgds) = wide_star(2 * RESOLVE_POOL_MIN as u32);
         let mut cfg = config(0);
         cfg.variant = ChaseVariant::Restricted;
-        let reference = sequential_chase(&db, &tgds, &cfg);
+        let reference = chase(&db, &tgds, &cfg);
         assert!(reference.terminated());
         for threads in [2usize, 3] {
             cfg.threads = threads;
-            let par = chase_parallel(&db, &tgds, &cfg);
+            let par = chase(&db, &tgds, &cfg);
             assert_identical(
                 &reference,
                 &par,
@@ -707,7 +174,7 @@ mod tests {
     #[test]
     fn empty_database_terminates_immediately() {
         let p = parse_program("r(X, Y) -> r(Y, Z).").unwrap();
-        let par = chase_parallel(&p.database, &p.tgds, &config(4));
+        let par = chase(&p.database, &p.tgds, &config(4));
         assert!(par.terminated());
         assert_eq!(par.instance.len(), 0);
         assert_eq!(par.stats.rounds, 1);
@@ -716,8 +183,8 @@ mod tests {
     #[test]
     fn chase_dispatches_on_threads() {
         let p = parse_program("r(a, b).\nr(X, Y) -> s(X, Z).").unwrap();
-        let seq = crate::chase::chase(&p.database, &p.tgds, &config(0));
-        let par = crate::chase::chase(&p.database, &p.tgds, &config(2));
+        let seq = chase(&p.database, &p.tgds, &config(0));
+        let par = chase(&p.database, &p.tgds, &config(2));
         assert_identical(&seq, &par, "dispatch");
     }
 
@@ -731,7 +198,7 @@ mod tests {
             "e(a, b).\ne(b, c).\ne(c, d).\ne(X, Y), e(Y, Z) -> e(X, Z).\ne(X, Y) -> p(X, W).",
         )
         .unwrap();
-        let reference = sequential_chase(&p.database, &p.tgds, &config(0));
+        let reference = chase(&p.database, &p.tgds, &config(0));
         let program = PreparedProgram::compile(p.tgds);
         let engine = Engine::from_config(&config(3));
         for i in 0..5 {
@@ -752,7 +219,7 @@ mod tests {
             "e(a, b).\ne(b, c).\ne(c, d).\ne(X, Y), e(Y, Z) -> e(X, Z).\ne(X, Y) -> p(X, W).",
         )
         .unwrap();
-        let reference = sequential_chase(&p.database, &p.tgds, &config(0));
+        let reference = chase(&p.database, &p.tgds, &config(0));
         let program = PreparedProgram::compile(p.tgds);
         let engine = Engine::from_config(&config(2));
         std::thread::scope(|scope| {

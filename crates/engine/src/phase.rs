@@ -5,9 +5,10 @@
 //! 1. **Enumerate** (read-only): run every rule's [`MatchPlan`](nuchase_model::plan::MatchPlan) against
 //!    the instance *as frozen at round start*, collecting the candidate
 //!    triggers into [`TriggerBatch`]es. Nothing is mutated, so the phase
-//!    shards freely over `(rule, pivot, window)` [`Task`] units — the
-//!    parallel executor's unit of work — or runs as one sweep in the
-//!    sequential engine.
+//!    shards freely over `(rule, pivot, window)` [`Task`] units: the
+//!    round loop drains them in canonical order on the calling thread,
+//!    and a wide round at `threads ≥ 2` shares them with the scheduler's
+//!    helpers ([`crate::sched`]).
 //! 2. **Apply**, itself a pipeline of four stages:
 //!    * **merge** ([`merge_accepted`], serial): the authoritative trigger
 //!      dedup against the per-rule fired sets, in canonical batch order,
@@ -41,7 +42,7 @@
 //! *across* tasks of the same round survive into the batches and are
 //! resolved by the merge — in canonical order, so the surviving
 //! occurrence, and hence every null and atom id, is the same at any
-//! worker count and equals the sequential engine's.
+//! worker count.
 //!
 //! # Why byte-identity survives the split
 //!
@@ -80,6 +81,8 @@ use crate::dedup::TermTupleSet;
 use crate::forest::Forest;
 use crate::nulls::NullStore;
 use crate::provenance::{Derivation, Provenance};
+use crate::sched::{Helpers, RESOLVE_POOL_MIN};
+use crate::session::SessionCore;
 use crate::telemetry::{RoundPath, Telemetry, TelemetryLevel, TelemetrySnapshot};
 
 /// The trigger-key variables of a rule under a chase variant: the
@@ -269,8 +272,8 @@ const TASK_CHUNK: u32 = 2048;
 
 /// Builds the canonical task list of a round over `tasks` (cleared
 /// first): rules in id order, pivots in stage order, windows ascending —
-/// the exact order whose concatenated batches reproduce the sequential
-/// engine's trigger sequence. At `delta_start == 0` (the first round)
+/// the canonical trigger order, whoever drains the units. At
+/// `delta_start == 0` (the first round)
 /// only pivot 0 is emitted per rule: the old region is empty, so every
 /// later stage is a no-op by construction.
 pub fn round_tasks(tgds: &TgdSet, delta_start: AtomIdx, len: AtomIdx, tasks: &mut Vec<Task>) {
@@ -313,7 +316,7 @@ pub struct RoundCtx<'a> {
 /// homomorphism, assemble its trigger key, and push it into `batch`
 /// unless the frozen `fired` set (previous rounds) or the unit-local
 /// `dedup` arena has seen the key. One definition, so the dedup contract
-/// cannot silently diverge between the sequential and task paths.
+/// cannot silently diverge between enumerators.
 fn trigger_collector<'a>(
     rule: RuleId,
     keys: &'a [VarId],
@@ -380,41 +383,6 @@ pub fn enumerate_task(
             batch,
             &mut considered,
         ),
-    );
-    considered
-}
-
-/// The sequential engine's enumerate phase for one rule: the full delta
-/// sweep (all pivots) in one pass, with the same three-level dedup
-/// contract as [`enumerate_task`] (here the "task" spans the whole rule,
-/// so the within-round arena covers all pivots at once). Returns the
-/// number of homomorphisms considered.
-pub fn enumerate_rule(
-    instance: &Instance,
-    ctx: RoundCtx<'_>,
-    rule: RuleId,
-    fired: &TermTupleSet,
-    ws: &mut WorkerScratch,
-    batch: &mut TriggerBatch,
-) -> usize {
-    // Fault site: fires before any enumeration work, so a failed task
-    // leaves no partial output behind.
-    crate::fault::check(crate::fault::FaultSite::WorkerTask);
-    let tgd = ctx.tgds.get(rule);
-    let keys = key_vars(tgd, ctx.variant);
-    let WorkerScratch {
-        scratch,
-        dedup,
-        key_buf,
-        ..
-    } = ws;
-    dedup.clear();
-    let mut considered = 0usize;
-    tgd.body_plan().for_each_hom_delta(
-        instance,
-        ctx.delta_start,
-        scratch,
-        trigger_collector(rule, keys, fired, dedup, key_buf, batch, &mut considered),
     );
     considered
 }
@@ -576,56 +544,11 @@ pub fn enumerate_task_batch(
     considered
 }
 
-/// [`enumerate_rule`] through the batch (columnar) enumeration path (see
-/// [`enumerate_task_batch`]): the full delta sweep of one rule as lane
-/// programs, byte-identical to the backtracking sweep.
-pub fn enumerate_rule_batch(
-    instance: &Instance,
-    ctx: RoundCtx<'_>,
-    rule: RuleId,
-    fired: &TermTupleSet,
-    ws: &mut WorkerScratch,
-    batch: &mut TriggerBatch,
-    emit_secs: &mut f64,
-) -> usize {
-    // Fault site: fires before any enumeration work, so a failed task
-    // leaves no partial output behind.
-    crate::fault::check(crate::fault::FaultSite::WorkerTask);
-    let tgd = ctx.tgds.get(rule);
-    let keys = key_vars(tgd, ctx.variant);
-    let WorkerScratch {
-        dedup,
-        batch_scratch,
-        row_buf,
-        emit_scratch,
-        ..
-    } = ws;
-    dedup.clear();
-    let mut considered = 0usize;
-    tgd.body_plan().for_each_hom_delta_batch(
-        instance,
-        ctx.delta_start,
-        batch_scratch,
-        block_collector(
-            rule,
-            keys,
-            fired,
-            dedup,
-            row_buf,
-            emit_scratch,
-            batch,
-            &mut considered,
-            emit_secs,
-        ),
-    );
-    considered
-}
-
 /// The **eager** collection step of a fused micro-round: the candidate
 /// key goes straight into the *authoritative* (mutable) fired set — one
 /// probe instead of the frozen-read + arena-insert + later-merge-insert
 /// of the staged contract. Sound only for a serial enumerator walking
-/// rules/tasks in canonical order (the fused path's precondition), where
+/// tasks in canonical order (the fused path's precondition), where
 /// "first insert wins" coincides with the merge's canonical-order
 /// outcome; the batch comes out pre-merged.
 fn trigger_collector_eager<'a>(
@@ -650,40 +573,12 @@ fn trigger_collector_eager<'a>(
     }
 }
 
-/// [`enumerate_rule`] with the eager dedup of a fused micro-round:
+/// [`enumerate_task`] with the eager dedup of a fused micro-round:
 /// filters and *commits* trigger keys against the mutable authoritative
 /// `fired` set in one probe, appending the (pre-merged) survivors to
-/// `batch`. The resulting batch needs no merge stage.
-pub fn enumerate_rule_eager(
-    instance: &Instance,
-    ctx: RoundCtx<'_>,
-    rule: RuleId,
-    fired: &mut TermTupleSet,
-    ws: &mut WorkerScratch,
-    batch: &mut TriggerBatch,
-) -> usize {
-    // Fault site: fires before any enumeration work, so a failed task
-    // leaves no partial output behind.
-    crate::fault::check(crate::fault::FaultSite::WorkerTask);
-    let tgd = ctx.tgds.get(rule);
-    let keys = key_vars(tgd, ctx.variant);
-    let WorkerScratch {
-        scratch, key_buf, ..
-    } = ws;
-    let mut considered = 0usize;
-    tgd.body_plan().for_each_hom_delta(
-        instance,
-        ctx.delta_start,
-        scratch,
-        trigger_collector_eager(rule, keys, fired, key_buf, batch, &mut considered),
-    );
-    considered
-}
-
-/// [`enumerate_task`] with the eager dedup of a fused micro-round (see
-/// [`enumerate_rule_eager`]); tasks must be drained serially in
-/// canonical order — cross-task duplicates die here instead of at the
-/// merge, on the same first occurrence.
+/// `batch`, so the batch needs no merge stage. Tasks must be drained
+/// serially in canonical order — cross-task duplicates die here instead
+/// of at the merge, on the same first occurrence.
 pub fn enumerate_task_eager(
     instance: &Instance,
     ctx: RoundCtx<'_>,
@@ -1173,9 +1068,9 @@ impl ApplyState {
 
 /// The per-driver round buffers of the apply pipeline: the flattened
 /// accepted batch, its null plan, and (for inline resolution) one
-/// resolved batch. Separate from [`ApplyState`] so the parallel executor
-/// can freeze `accepted`/`plan` for its workers while the commit state
-/// stays coordinator-owned.
+/// resolved batch. Separate from [`ApplyState`] so a shared resolve stage
+/// can lend `accepted`/`plan` to its helpers while the commit state stays
+/// with the calling thread.
 #[derive(Debug, Default)]
 pub struct ApplyBuffers {
     /// The round's accepted triggers, in canonical order.
@@ -1475,13 +1370,11 @@ fn commit_batch_plain(
 /// [`commit_batch`]). Performance-only: the index is identical.
 const EAGER_INDEX_MAX: usize = 64;
 
-/// Default delta ceiling (in atoms) for a round to take the fused
-/// micro-round path under [`ApplyPath::Auto`] — the
-/// [`ChaseConfig::fused_delta_max`] default. Chain-shaped chases live
-/// their whole life under it; wide rounds — where the staged pipeline's
-/// batched splices and shardable resolve pay off — stay on the pipeline.
-/// Purely a performance choice: results are byte-identical on both
-/// paths.
+/// Delta ceiling (in atoms) for a round to take the fused micro-round
+/// path under [`ApplyPath::Auto`]. Chain-shaped chases live their whole
+/// life under it; wide rounds — where the staged pipeline's batched
+/// splices and shardable resolve pay off — stay on the pipeline. Purely
+/// a performance choice: results are byte-identical on both paths.
 pub const FUSED_DELTA_MAX: AtomIdx = 64;
 
 /// Trigger-count ceiling for the fused path under [`ApplyPath::Auto`]
@@ -1489,12 +1382,12 @@ pub const FUSED_DELTA_MAX: AtomIdx = 64;
 /// triggers, which the pipeline handles better).
 pub const FUSED_TRIGGER_MAX: usize = 32;
 
-/// Default delta floor (in atoms) for a non-fused round to take the
-/// batch (columnar) enumeration path under [`BatchEnum::Auto`] — the
-/// [`ChaseConfig::batch_delta_min`] default. Below it the per-trigger
-/// backtracking search wins: the lane program's per-step setup and
-/// column traffic need enough candidate rows to amortize. Purely a
-/// performance choice: results are byte-identical on both paths.
+/// Delta floor (in atoms) for a non-fused round to take the batch
+/// (columnar) enumeration path under [`BatchEnum::Auto`]. Below it the
+/// per-trigger backtracking search wins: the lane program's per-step
+/// setup and column traffic need enough candidate rows to amortize.
+/// Purely a performance choice: results are byte-identical on both
+/// paths.
 pub const BATCH_DELTA_MIN: AtomIdx = 4096;
 
 /// Resolves the apply-path choice for a run: an explicit
@@ -1531,33 +1424,6 @@ pub fn resolved_batch_enum(config: &ChaseConfig) -> BatchEnum {
     }
 }
 
-use crate::config::env_usize;
-
-/// The effective fused-delta ceiling of a run:
-/// `NUCHASE_FUSED_DELTA_MAX` when set, else
-/// [`ChaseConfig::fused_delta_max`]. Resolved once per run.
-pub fn resolved_fused_delta_max(config: &ChaseConfig) -> AtomIdx {
-    env_usize("NUCHASE_FUSED_DELTA_MAX")
-        .and_then(|v| u32::try_from(v).ok())
-        .unwrap_or(config.fused_delta_max)
-}
-
-/// The effective batch-delta floor of a run: `NUCHASE_BATCH_DELTA_MIN`
-/// when set, else [`ChaseConfig::batch_delta_min`]. Resolved once per
-/// run.
-pub fn resolved_batch_delta_min(config: &ChaseConfig) -> AtomIdx {
-    env_usize("NUCHASE_BATCH_DELTA_MIN")
-        .and_then(|v| u32::try_from(v).ok())
-        .unwrap_or(config.batch_delta_min)
-}
-
-/// The effective pooled-resolve floor of a run:
-/// `NUCHASE_RESOLVE_POOL_MIN` when set, else
-/// [`ChaseConfig::resolve_pool_min`]. Resolved once per run.
-pub fn resolved_resolve_pool_min(config: &ChaseConfig) -> usize {
-    env_usize("NUCHASE_RESOLVE_POOL_MIN").unwrap_or(config.resolve_pool_min)
-}
-
 /// Resolves the telemetry level of a run, mirroring
 /// [`resolved_apply_path`]: an explicit non-`Off`
 /// [`ChaseConfig::telemetry`] wins; otherwise the `NUCHASE_TELEMETRY`
@@ -1577,49 +1443,31 @@ pub fn resolved_telemetry(config: &ChaseConfig) -> TelemetryLevel {
     }
 }
 
-/// Does a round with `delta` new atoms and `triggers` enumerated
-/// triggers take the fused path under the resolved choice and the run's
-/// effective `fused_delta_max`?
+/// The fused decision, taken before enumeration on the delta alone, so
+/// the round can enumerate with eager dedup ([`enumerate_task_eager`]);
+/// under [`ApplyPath::Auto`] a fused round that then fans out past
+/// [`FUSED_TRIGGER_MAX`] triggers falls back to the staged stages minus
+/// the (already performed) merge.
 #[inline]
-pub fn fused_round(
-    path: ApplyPath,
-    delta: AtomIdx,
-    triggers: usize,
-    fused_delta_max: AtomIdx,
-) -> bool {
+pub fn fused_round_delta(path: ApplyPath, delta: AtomIdx) -> bool {
     match path {
         ApplyPath::Pipeline => false,
         ApplyPath::Fused => true,
-        ApplyPath::Auto => delta <= fused_delta_max && triggers <= FUSED_TRIGGER_MAX,
-    }
-}
-
-/// The *pre-enumeration* fused decision (trigger count not yet known):
-/// serial executors decide on the delta alone so the round can
-/// enumerate with eager dedup ([`enumerate_rule_eager`]); a
-/// fused-eligible round that then fans out past [`FUSED_TRIGGER_MAX`]
-/// triggers falls back to the staged stages minus the (already
-/// performed) merge.
-#[inline]
-pub fn fused_round_delta(path: ApplyPath, delta: AtomIdx, fused_delta_max: AtomIdx) -> bool {
-    match path {
-        ApplyPath::Pipeline => false,
-        ApplyPath::Fused => true,
-        ApplyPath::Auto => delta <= fused_delta_max,
+        ApplyPath::Auto => delta <= FUSED_DELTA_MAX,
     }
 }
 
 /// Does a **non-fused** round with `delta` new atoms enumerate through
-/// the batch (columnar) path under the resolved choice and the run's
-/// effective `batch_delta_min`? Fused rounds never batch: their eager
-/// per-trigger enumeration *is* their apply pass, and a micro-round's
-/// handful of candidates has nothing to amortize.
+/// the batch (columnar) path under the resolved choice? Fused rounds
+/// never batch: their eager per-trigger enumeration *is* their apply
+/// pass, and a micro-round's handful of candidates has nothing to
+/// amortize.
 #[inline]
-pub fn batch_round_delta(choice: BatchEnum, delta: AtomIdx, batch_delta_min: AtomIdx) -> bool {
+pub fn batch_round_delta(choice: BatchEnum, delta: AtomIdx) -> bool {
     match choice {
         BatchEnum::On => true,
         BatchEnum::Off => false,
-        BatchEnum::Auto => delta >= batch_delta_min,
+        BatchEnum::Auto => delta >= BATCH_DELTA_MIN,
     }
 }
 
@@ -1654,70 +1502,33 @@ pub fn batch_round_delta(choice: BatchEnum, delta: AtomIdx, batch_delta_min: Ato
 /// * the atom-budget check runs after every head atom — snapshot hit or
 ///   not — exactly like the commit loop's.
 ///
-/// `merge` says whether the batches still need the authoritative dedup:
-/// `true` for pool-enumerated batches (filtered only against the frozen
-/// fired sets and per-task arenas — cross-task duplicates survive into
-/// them), `false` for batches from the eager enumerators
-/// ([`enumerate_rule_eager`]/[`enumerate_task_eager`]), whose keys are
-/// already committed and whose contents are pre-merged.
+/// The batch comes from the eager enumerator ([`enumerate_task_eager`]),
+/// so its trigger keys are already committed to the fired sets and its
+/// contents are pre-merged.
 ///
 /// The forced-path differential sweeps (`tests/properties.rs`) pin this
 /// across variants, thread counts, and budget stops.
-#[allow(clippy::too_many_arguments)]
-pub fn apply_fused<'a>(
+pub fn apply_fused(
     tgds: &TgdSet,
     config: &ChaseConfig,
     instance: &mut Instance,
-    fired: &mut [TermTupleSet],
     state: &mut ApplyState,
     ws: &mut WorkerScratch,
-    batches: impl IntoIterator<Item = &'a TriggerBatch>,
-    merge: bool,
+    batch: &TriggerBatch,
     stats: &mut ChaseStats,
 ) -> Option<ChaseOutcome> {
-    // Fault site: fires before the fused path touches the instance or
-    // the fired sets, mirroring `commit_batch`.
+    // Fault site: fires before the fused path touches the instance,
+    // mirroring `commit_batch`.
     crate::fault::check(crate::fault::FaultSite::Commit);
     stats.fused_rounds += 1;
-    for batch in batches {
-        for (rule, binding) in batch.iter() {
-            let tgd = tgds.get(rule);
-            let mut key_hash = None;
-            if merge {
-                // Authoritative dedup — the merge stage, inlined; the
-                // key and its hash double as the null name below (same
-                // variable set for both non-restricted variants).
-                ws.key_buf.clear();
-                ws.key_buf
-                    .extend(key_vars(tgd, config.variant).iter().map(|v| {
-                        let t = binding[v.index()];
-                        debug_assert!(!t.is_var(), "body variable bound");
-                        t
-                    }));
-                let h = hash_terms(&ws.key_buf);
-                // Queue the trigger's downstream probes before the
-                // fired-set walk: the null-intern slot hashes derive
-                // from the key hash alone, so their misses overlap the
-                // fired probe's (the fused probe queue, part 1).
-                if config.variant != ChaseVariant::Restricted {
-                    for &z in tgd.existentials() {
-                        state.nulls.prefetch_intern(rule, z, h);
-                    }
-                }
-                if !fired[rule.index()].insert_hashed(&ws.key_buf, h) {
-                    continue;
-                }
-                key_hash = Some(h);
-            }
-            // μ starts as the placeholder-form binding; `fire_trigger`
-            // fills the existential slots.
-            ws.mu.clear();
-            ws.mu.extend_from_slice(binding);
-            if let Some(stop) =
-                fire_trigger(config, instance, state, ws, rule, tgd, key_hash, stats)
-            {
-                return Some(stop);
-            }
+    for (rule, binding) in batch.iter() {
+        let tgd = tgds.get(rule);
+        // μ starts as the placeholder-form binding; `fire_trigger` fills
+        // the existential slots.
+        ws.mu.clear();
+        ws.mu.extend_from_slice(binding);
+        if let Some(stop) = fire_trigger(config, instance, state, ws, rule, tgd, None, stats) {
+            return Some(stop);
         }
     }
     None
@@ -2175,21 +1986,20 @@ pub fn prepare_round_tasks(
 pub struct RoundDriver {
     /// Enumerate + serial-stage scratch.
     pub ws: WorkerScratch,
-    /// The round's enumerated triggers (sequential/inline executors).
+    /// The round's triggers from tasks drained on the calling thread.
     pub batch: TriggerBatch,
+    /// The round's triggers from a shared enumerate phase, one batch per
+    /// task in canonical order — empty unless the round engaged the
+    /// scheduler's helpers (then [`RoundDriver::batch`] is empty).
+    pub(crate) units: Vec<TriggerBatch>,
     /// Pipeline-path buffers (accepted batch, null plan, inline resolve).
     pub bufs: ApplyBuffers,
-    /// Canonical task list (task-driven executors; see
-    /// [`RoundDriver::prepare_tasks`]).
+    /// Canonical task list (see [`RoundDriver::prepare_tasks`]).
     pub tasks: Vec<Task>,
     /// Resolved once per run from the config and the environment.
     path: ApplyPath,
     /// Batch-enumeration choice, resolved once per run like `path`.
     batch_choice: BatchEnum,
-    /// Effective fused-delta ceiling (config or env override).
-    fused_delta_max: AtomIdx,
-    /// Effective batch-delta floor (config or env override).
-    batch_delta_min: AtomIdx,
     /// Every rule body is one atom ([`single_atom_bodies`]), so fused
     /// rounds may run as chain micro-rounds ([`fused_chain_round`]).
     chain_ok: bool,
@@ -2244,12 +2054,11 @@ impl RoundDriver {
         RoundDriver {
             ws: WorkerScratch::new(),
             batch: TriggerBatch::new(),
+            units: Vec::new(),
             bufs: ApplyBuffers::new(),
             tasks: Vec::new(),
             path: resolved_apply_path(config),
             batch_choice: resolved_batch_enum(config),
-            fused_delta_max: resolved_fused_delta_max(config),
-            batch_delta_min: resolved_batch_delta_min(config),
             chain_ok: single_atom_bodies(tgds),
             tasks_single: false,
             mark,
@@ -2274,9 +2083,8 @@ impl RoundDriver {
     pub fn restart(&mut self, config: &ChaseConfig, chain_ok: bool, mark: Instant) {
         self.path = resolved_apply_path(config);
         self.batch_choice = resolved_batch_enum(config);
-        self.fused_delta_max = resolved_fused_delta_max(config);
-        self.batch_delta_min = resolved_batch_delta_min(config);
         self.chain_ok = chain_ok;
+        self.units.clear();
         self.tasks.clear();
         self.tasks_single = false;
         self.mark = mark;
@@ -2306,6 +2114,12 @@ impl RoundDriver {
     /// The run's resolved apply path.
     pub fn path(&self) -> ApplyPath {
         self.path
+    }
+
+    /// Books the span since the last boundary as shared-run teardown
+    /// ([`ChaseStats::pool_secs`]).
+    pub(crate) fn lap_pool(&mut self, stats: &mut ChaseStats) {
+        stats.pool_secs += self.lap();
     }
 
     /// Should the current round (after [`RoundDriver::begin_round`] said
@@ -2338,13 +2152,12 @@ impl RoundDriver {
     /// the delta width (the pre-enumeration decisions — see
     /// [`fused_round_delta`] and [`batch_round_delta`]). Returns whether
     /// the round should enumerate with **eager dedup**
-    /// ([`enumerate_rule_eager`]/[`enumerate_task_eager`]) — the fused
-    /// path's contract. Non-fused rounds consult
-    /// [`RoundDriver::batch_round`] for the wide-round batch path.
+    /// ([`enumerate_task_eager`]) — the fused path's contract. Non-fused
+    /// rounds consult [`RoundDriver::batch_round`] for the wide-round
+    /// batch path.
     pub fn begin_round(&mut self, delta: AtomIdx, stats: &mut ChaseStats) -> bool {
-        self.round_fused = fused_round_delta(self.path, delta, self.fused_delta_max);
-        self.round_batch =
-            !self.round_fused && batch_round_delta(self.batch_choice, delta, self.batch_delta_min);
+        self.round_fused = fused_round_delta(self.path, delta);
+        self.round_batch = !self.round_fused && batch_round_delta(self.batch_choice, delta);
         if self.round_batch {
             stats.batched_rounds += 1;
         }
@@ -2366,8 +2179,8 @@ impl RoundDriver {
     }
 
     /// Does the current (non-fused) round enumerate through the batch
-    /// path ([`enumerate_rule_batch`]/[`enumerate_task_batch`])? Decided
-    /// at [`RoundDriver::begin_round`].
+    /// path ([`enumerate_task_batch`])? Decided at
+    /// [`RoundDriver::begin_round`].
     pub fn batch_round(&self) -> bool {
         self.round_batch
     }
@@ -2431,45 +2244,54 @@ impl RoundDriver {
         );
     }
 
-    /// The round's apply step over [`RoundDriver::batch`], on the path
-    /// [`RoundDriver::begin_round`] chose — with the span accounting
-    /// described in the type docs. Returns `Some(outcome)` when a budget
-    /// stops the run.
+    /// Does the current round hold no trigger at all — the fixpoint
+    /// signal after enumeration?
+    pub(crate) fn no_triggers(&self) -> bool {
+        self.batch.is_empty() && self.units.iter().all(TriggerBatch::is_empty)
+    }
+
+    /// The round's apply step, on the path [`RoundDriver::begin_round`]
+    /// chose — with the span accounting described in the type docs.
+    /// `helpers` (a `threads ≥ 2` blocking run) takes a wide resolve
+    /// stage's ranges alongside the calling thread. Returns
+    /// `Some(outcome)` when a budget stops the run or a shared phase
+    /// failed.
     ///
     /// On the fused path the batch is pre-merged (eager enumeration), so
     /// the straight-line pass skips the merge; a fused-eligible round
     /// that fanned out past [`FUSED_TRIGGER_MAX`] triggers falls back to
     /// the staged plan → resolve → commit directly on the batch (the
-    /// merge stage would be an identity copy).
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply(
+    /// merge stage would be an identity copy). Non-fused rounds merge
+    /// [`RoundDriver::units`] and [`RoundDriver::batch`] — only one of
+    /// the two is populated — in canonical order.
+    pub(crate) fn apply(
         &mut self,
         tgds: &TgdSet,
         config: &ChaseConfig,
-        instance: &mut Instance,
-        fired: &mut [TermTupleSet],
-        state: &mut ApplyState,
+        core: &mut SessionCore,
         stats: &mut ChaseStats,
+        mut helpers: Option<&mut Helpers<'_>>,
     ) -> Option<ChaseOutcome> {
         if self.round_fused {
             // Forced `Fused` means fused regardless of width (the enum's
-            // contract, and what the pool coordinator does); only `Auto`
-            // falls back to the staged stages past the trigger ceiling.
+            // contract); only `Auto` falls back to the staged stages past
+            // the trigger ceiling.
             let outcome = if self.path == ApplyPath::Fused || self.batch.len() <= FUSED_TRIGGER_MAX
             {
                 apply_fused(
                     tgds,
                     config,
-                    instance,
-                    fired,
-                    state,
+                    &mut core.instance,
+                    &mut core.apply,
                     &mut self.ws,
-                    std::iter::once(&self.batch),
-                    false,
+                    &self.batch,
                     stats,
                 )
             } else {
-                self.apply_stages(tgds, config, instance, state, stats, false)
+                // The eager enumeration already merged: the batch is the
+                // accepted batch.
+                std::mem::swap(&mut self.batch, &mut self.bufs.accepted);
+                self.apply_stages(tgds, config, core, stats, helpers, false)
             };
             let dt = self.lap();
             if self.sample {
@@ -2497,55 +2319,63 @@ impl RoundDriver {
         merge_accepted(
             tgds,
             config.variant,
-            std::iter::once(&self.batch),
-            fired,
+            self.units.iter().chain(std::iter::once(&self.batch)),
+            &mut core.fired,
             &mut self.ws.key_buf,
             &mut self.bufs.accepted,
         );
+        if let Some(h) = helpers.as_deref_mut() {
+            h.recycle(&mut self.units);
+        }
         stats.dedup_secs += self.lap();
-        self.apply_stages(tgds, config, instance, state, stats, true)
+        self.apply_stages(tgds, config, core, stats, helpers, true)
     }
 
-    /// The staged plan → resolve → commit stages over the accepted batch
-    /// — [`RoundDriver::bufs`]`.accepted` when the merge ran (`merged`),
-    /// the raw [`RoundDriver::batch`] when eager enumeration already
-    /// produced a merged batch. Timing laps (resolve/commit spans) are
-    /// taken only in merged mode; the fused fallback's caller accounts
-    /// the whole span instead.
+    /// The staged plan → resolve → commit stages over
+    /// [`RoundDriver::bufs`]`.accepted`. The resolve stage is shared
+    /// with `helpers` once it plans [`RESOLVE_POOL_MIN`] triggers.
+    /// Timing laps (resolve/commit spans) are taken only when `laps` is
+    /// set; the fused fallback's caller accounts the whole span instead.
     fn apply_stages(
         &mut self,
         tgds: &TgdSet,
         config: &ChaseConfig,
-        instance: &mut Instance,
-        state: &mut ApplyState,
+        core: &mut SessionCore,
         stats: &mut ChaseStats,
-        merged: bool,
+        helpers: Option<&mut Helpers<'_>>,
+        laps: bool,
     ) -> Option<ChaseOutcome> {
-        let ApplyBuffers {
-            accepted,
-            plan,
-            resolved,
-        } = &mut self.bufs;
-        let accepted: &TriggerBatch = if merged { accepted } else { &self.batch };
         plan_nulls(
             tgds,
             config,
-            &mut state.nulls,
-            accepted,
+            &mut core.apply.nulls,
+            &self.bufs.accepted,
             &mut self.ws.key_buf,
-            plan,
+            &mut self.bufs.plan,
         );
-        resolve_range(
-            instance,
-            tgds,
-            config,
-            accepted,
-            plan,
-            (0, plan.planned() as u32),
-            &mut self.ws,
-            resolved,
-        );
-        let resolve = if merged {
+        let planned = self.bufs.plan.planned();
+        let parts: &[ResolvedBatch] = match helpers {
+            Some(h) if planned >= RESOLVE_POOL_MIN => {
+                if let Err(err) = h.resolve(core, self, stats) {
+                    return Some(ChaseOutcome::Failed(err));
+                }
+                h.resolved()
+            }
+            _ => {
+                resolve_range(
+                    &core.instance,
+                    tgds,
+                    config,
+                    &self.bufs.accepted,
+                    &self.bufs.plan,
+                    (0, planned as u32),
+                    &mut self.ws,
+                    &mut self.bufs.resolved,
+                );
+                std::slice::from_ref(&self.bufs.resolved)
+            }
+        };
+        let resolve = if laps {
             let r = lap_mark(&mut self.mark);
             stats.resolve_secs += r;
             r
@@ -2555,14 +2385,14 @@ impl RoundDriver {
         let outcome = commit_batch(
             tgds,
             config,
-            instance,
-            state,
-            accepted,
-            plan,
-            std::slice::from_ref(resolved),
+            &mut core.instance,
+            &mut core.apply,
+            &self.bufs.accepted,
+            &self.bufs.plan,
+            parts,
             stats,
         );
-        if merged {
+        if laps {
             let commit = lap_mark(&mut self.mark);
             stats.commit_secs += commit;
             stats.apply_secs += resolve + commit;
@@ -2572,8 +2402,7 @@ impl RoundDriver {
 }
 
 /// Advances a carry timestamp, returning the seconds since the previous
-/// boundary — the timing primitive of the [`RoundDriver`] contract and
-/// of the pool coordinator's equivalent carry scheme.
+/// boundary — the timing primitive of the [`RoundDriver`] contract.
 #[inline]
 pub(crate) fn lap_mark(mark: &mut Instant) -> f64 {
     let now = Instant::now();
@@ -2703,54 +2532,18 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(resolved_apply_path(&forced), ApplyPath::Pipeline);
-        // Auto: both bounds must hold; forced paths ignore them.
-        assert!(fused_round(ApplyPath::Auto, 1, 1, FUSED_DELTA_MAX));
-        assert!(fused_round(
-            ApplyPath::Auto,
-            FUSED_DELTA_MAX,
-            FUSED_TRIGGER_MAX,
-            FUSED_DELTA_MAX
-        ));
-        assert!(!fused_round(
-            ApplyPath::Auto,
-            FUSED_DELTA_MAX + 1,
-            1,
-            FUSED_DELTA_MAX
-        ));
-        assert!(!fused_round(
-            ApplyPath::Auto,
-            1,
-            FUSED_TRIGGER_MAX + 1,
-            FUSED_DELTA_MAX
-        ));
-        assert!(!fused_round(ApplyPath::Pipeline, 1, 1, FUSED_DELTA_MAX));
-        assert!(fused_round(
-            ApplyPath::Fused,
-            1 << 20,
-            1 << 20,
-            FUSED_DELTA_MAX
-        ));
-        // The config knobs carry the documented defaults, and a custom
-        // ceiling moves the Auto decision.
-        let config = ChaseConfig::default();
-        assert_eq!(config.fused_delta_max, FUSED_DELTA_MAX);
-        assert_eq!(config.batch_delta_min, BATCH_DELTA_MIN);
-        assert!(fused_round_delta(ApplyPath::Auto, 100, 128));
-        assert!(!fused_round_delta(ApplyPath::Auto, 100, 64));
+        // Auto honours the delta ceiling; forced paths ignore it.
+        assert!(fused_round_delta(ApplyPath::Auto, 1));
+        assert!(fused_round_delta(ApplyPath::Auto, FUSED_DELTA_MAX));
+        assert!(!fused_round_delta(ApplyPath::Auto, FUSED_DELTA_MAX + 1));
+        assert!(!fused_round_delta(ApplyPath::Pipeline, 1));
+        assert!(fused_round_delta(ApplyPath::Fused, 1 << 20));
         // Batch decision: explicit choices ignore the floor, Auto
         // honours it.
-        assert!(batch_round_delta(BatchEnum::On, 1, BATCH_DELTA_MIN));
-        assert!(!batch_round_delta(BatchEnum::Off, 1 << 20, BATCH_DELTA_MIN));
-        assert!(batch_round_delta(
-            BatchEnum::Auto,
-            BATCH_DELTA_MIN,
-            BATCH_DELTA_MIN
-        ));
-        assert!(!batch_round_delta(
-            BatchEnum::Auto,
-            BATCH_DELTA_MIN - 1,
-            BATCH_DELTA_MIN
-        ));
+        assert!(batch_round_delta(BatchEnum::On, 1));
+        assert!(!batch_round_delta(BatchEnum::Off, 1 << 20));
+        assert!(batch_round_delta(BatchEnum::Auto, BATCH_DELTA_MIN));
+        assert!(!batch_round_delta(BatchEnum::Auto, BATCH_DELTA_MIN - 1));
         // Explicit batch knobs win over the environment.
         let on = ChaseConfig {
             batch_enum: BatchEnum::On,
@@ -2789,13 +2582,15 @@ mod tests {
             let mut batch = TriggerBatch::new();
             let mut batch_considered = 0usize;
             let mut emit = 0.0f64;
-            for (rule, _) in p.tgds.iter() {
+            let mut tasks = Vec::new();
+            round_tasks(&p.tgds, 0, p.database.len() as AtomIdx, &mut tasks);
+            for &task in &tasks {
                 ref_considered +=
-                    enumerate_rule(&p.database, ctx, rule, &fired, &mut ws, &mut reference);
-                batch_considered += enumerate_rule_batch(
+                    enumerate_task(&p.database, ctx, task, &fired, &mut ws, &mut reference);
+                batch_considered += enumerate_task_batch(
                     &p.database,
                     ctx,
-                    rule,
+                    task,
                     &fired,
                     &mut ws,
                     &mut batch,
@@ -2855,12 +2650,14 @@ mod tests {
             variant,
             delta_start: 0,
         };
-        for (rule, _) in p.tgds.iter() {
-            enumerate_rule(
+        let mut tasks = Vec::new();
+        round_tasks(&p.tgds, 0, p.database.len() as AtomIdx, &mut tasks);
+        for &task in &tasks {
+            enumerate_task(
                 &p.database,
                 ctx,
-                rule,
-                &fired[rule.index()],
+                task,
+                &fired[task.rule.index()],
                 &mut ws,
                 &mut batch,
             );

@@ -1,69 +1,71 @@
 //! The shared multi-session scheduler: many in-flight chases, one
 //! persistent worker pool, no gate.
 //!
-//! The previous pooled executor serialized concurrent sessions through
-//! an exclusive condvar gate (`pool.begin` / `wait_idle`): the pool ran
-//! **one** run at a time, so on a shared [`Engine`](crate::Engine) a
-//! slow tenant blocked every other tenant for its whole chase. This
-//! module replaces the gate with a scheduler the whole engine shares:
+//! Every chase runs the one round loop ([`crate::session`]) on the
+//! calling thread. `threads` decides only who drains a wide round's
+//! units, and this module is where the other drainers come from:
 //!
-//! * **Published runs** ([`RunShared`]) — a blocking session run
-//!   (`threads ≥ 2`) publishes itself on the scheduler's board; idle
-//!   workers *help* whichever published run currently has an open
-//!   sharded phase, claiming `(rule, pivot, window)` enumerate units or
-//!   sharded-resolve ranges off the run's atomic cursor. Many runs can
+//! * **Helpers for wide rounds** (`Helpers`, `RunShared`) — at
+//!   `threads ≥ 2`, a blocking run whose non-fused round reaches
+//!   [`POOL_DELTA_MIN`] delta atoms or [`POOL_TASKS_MIN`] tasks lends
+//!   its frozen round state to a `RunShared` published on the
+//!   scheduler's board, and idle workers *help* drain the round's
+//!   `(rule, pivot, window)` enumerate units; a resolve stage of at
+//!   least [`RESOLVE_POOL_MIN`] planned triggers is shared out the same
+//!   way. Helpers claim units off the run's atomic cursor. Many runs can
 //!   be on the board at once; workers round-robin between them, so a
-//!   wide round of one tenant no longer owns the pool.
-//! * **Submitted jobs** ([`Scheduler::submit`], surfaced as
+//!   wide round of one tenant does not own the pool. A run whose rounds
+//!   never get that wide never touches the board.
+//! * **Submitted jobs** (`Scheduler::submit`, surfaced as
 //!   [`Engine::submit`](crate::Engine::submit)) — a non-blocking chase:
 //!   the whole session state is boxed into a queue entry and workers
 //!   drive it in **round-boundary quanta** (default 500µs, knob
 //!   `NUCHASE_SCHED_QUANTUM_US`). A job that outlives its quantum goes
 //!   to the back of the queue, so thousands of tenants make interleaved
 //!   progress with fair admission — one deep chase cannot starve the
-//!   fast ones behind it. The caller holds a [`JobHandle`] and collects
-//!   the [`ChaseResult`] whenever it is ready.
+//!   fast ones behind it. A job slice runs the same round loop, without
+//!   helpers. The caller holds a [`JobHandle`] and collects the
+//!   [`ChaseResult`] whenever it is ready.
 //! * **Recycled buffers** — job sessions check their fired-sets +
 //!   [`RoundDriver`] out of a scheduler-wide cache (mirroring the
 //!   engine's per-session spare stack), so a warm scheduler serves a
 //!   small tenant without allocating its arenas.
 //!
-//! # Phase protocol (replacing the barrier pairs)
+//! # Phase protocol
 //!
-//! A coordinator opens a sharded phase with [`RunShared::open_enumerate`]
-//! / [`RunShared::open_resolve`], drains its own share, then
-//! [`RunShared::close_phase`]s: closing clears the open bit of the
-//! packed phase word (`epoch | mode | open` in one atomic, so phase
-//! identity is indivisible) and waits until every registered helper has
-//! left. Helpers register **before** reading the phase word and
-//! re-check the whole word on **every** claim, so closing a phase early
-//! (first failure wins) is always safe — and a helper whose
-//! registration races a phase transition can never execute one phase's
-//! bodies against the other's cursor (see [`RunShared::drain`] for the
-//! ordering argument); results are pushed
-//! under the result mutex before a helper deregisters, which gives the
-//! coordinator a happens-before edge on everything it merges. Because
-//! the coordinator only takes the round write lock while the phase is
-//! closed and the helper count is zero, the frozen-round invariant of
-//! the old barrier design carries over unchanged — and with it the
+//! A coordinator lends its round state, opens a sharded phase with
+//! `RunShared::open_enumerate` / `RunShared::open_resolve`, drains
+//! its own share, then `RunShared::close_phase`s and takes the state
+//! back: closing clears the open bit of the packed phase word
+//! (`epoch | mode | open` in one atomic, so phase identity is
+//! indivisible) and waits until every registered helper has left.
+//! Helpers register **before** reading the phase word and re-check the
+//! whole word on **every** claim, so closing a phase early (first
+//! failure wins) is always safe — and a helper whose registration races
+//! a phase transition can never execute one phase's bodies against the
+//! other's cursor (see `RunShared::drain` for the ordering argument);
+//! results are pushed under the result mutex before a helper
+//! deregisters, which gives the coordinator a happens-before edge on
+//! everything it merges. Because the coordinator only moves round state
+//! in or out while the phase is closed and the helper count is zero,
+//! helpers only ever see a frozen round — and with it comes the
 //! byte-identity guarantee: scheduling moves only *who* executes a
 //! unit, never *what* the unit computes, and the serial merge/commit
-//! stages still run in canonical order. Tiny rounds never open a phase
-//! at all (the coordinator runs them inline), which is strictly cheaper
-//! than the old gate — that woke every worker once per run even when no
-//! round ever engaged.
+//! stages still run in canonical order. Each unit's work counters
+//! travel with its output, so the counters a run reports do not depend
+//! on who drained which unit.
 //!
 //! # Isolation
 //!
-//! PR 9's contract survives multiplexing, per session: a unit body that
-//! panics publishes a typed first-failure into its own [`RunShared`]
-//! and the coordinator fails *that* run cleanly; a job slice runs under
-//! its own `catch_unwind` and a panicking job completes as
-//! [`ChaseOutcome::Failed`] without touching its queue neighbors — the
-//! worker thread survives either way. The scheduler-boundary fault
-//! sites `sched_unit` (per claimed unit) and `sched_job` (per job
-//! slice) make both paths deterministically testable via
-//! `NUCHASE_FAULT_PLAN`.
+//! The fault-isolation contract survives multiplexing, per session: a
+//! unit body that panics publishes a typed first-failure into its own
+//! `RunShared` and the coordinator fails *that* run cleanly; a job
+//! slice runs under its own `catch_unwind` and a panicking job
+//! completes as [`ChaseOutcome::Failed`] without touching its queue
+//! neighbors — the worker thread survives either way. The
+//! scheduler-boundary fault sites `sched_unit` (per claimed unit) and
+//! `sched_job` (per job slice) make both paths deterministically
+//! testable via `NUCHASE_FAULT_PLAN`.
 //!
 //! # The `serve` facade
 //!
@@ -82,7 +84,7 @@ use std::time::{Duration, Instant};
 
 use nuchase_model::{AtomIdx, Instance, TgdSet};
 
-use crate::chase::{ChaseConfig, ChaseOutcome, ChaseResult, ChaseStats};
+use crate::chase::{ChaseConfig, ChaseOutcome, ChaseResult, ChaseStats, ProbeFlow};
 use crate::dedup::TermTupleSet;
 use crate::fault::{ChaseError, FaultSite};
 use crate::nulls::NullStore;
@@ -90,10 +92,33 @@ use crate::phase::{
     enumerate_task, enumerate_task_batch, resolve_range, ApplyState, ResolvedBatch, RoundCtx,
     RoundDriver, Task, TriggerBatch, WorkerScratch,
 };
-use crate::session::{
-    resolved_memory_limit, run_rounds_sequential, run_rounds_tasked, PreparedProgram, RunCtl,
-    SessionCore,
-};
+use crate::session::{Lanes, PreparedProgram, RunCtl, SessionCore};
+
+/// The worker count `--threads auto` resolves to: the machine's
+/// available parallelism (1 if it cannot be determined).
+pub fn auto_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Minimum delta size (in atoms) for a non-fused round to share its
+/// enumerate units with the scheduler's helpers. A deep chase spends
+/// most of its rounds on deltas of a handful of atoms — there the
+/// open/close handshake costs more than the enumeration it would shard,
+/// so the calling thread drains those rounds alone and never wakes a
+/// worker. The choice only moves *who* enumerates, never *what*:
+/// batches are canonical either way, so results do not depend on it.
+pub const POOL_DELTA_MIN: AtomIdx = 2048;
+
+/// A non-fused round with at least this many tasks shares its units
+/// regardless of delta size (many rules × pivots can carry real work on
+/// a small delta).
+pub const POOL_TASKS_MIN: usize = 16;
+
+/// Minimum planned triggers for a round to share its resolve stage with
+/// the helpers; below it the calling thread resolves alone (the same
+/// handshake-vs-work tradeoff as [`POOL_DELTA_MIN`], and equally
+/// invisible in the results).
+pub const RESOLVE_POOL_MIN: usize = 1024;
 
 /// Which sharded phase a run currently exposes to helpers.
 const MODE_ENUMERATE: usize = 0;
@@ -118,11 +143,11 @@ const RESOLVE_CHUNK: u32 = 256;
 /// [`RoundDriver`] per entry), mirroring the engine's session spare cap.
 const JOB_PARTS_MAX: usize = 8;
 
-/// The state a round freezes for its sharded phases and mutates in its
-/// serial stages. Lives behind one `RwLock`: helpers hold read guards
-/// while enumerating or resolving; the coordinator takes the write
-/// guard only between phases (closed, helper count zero) to prepare,
-/// merge, plan, and commit.
+/// The round state a coordinator lends to its [`RunShared`] for one
+/// sharded phase ([`Lend`]). Lives behind one `RwLock`: helpers hold
+/// read guards while enumerating or resolving; the coordinator takes
+/// the write guard only while no phase is open (helper count zero) to
+/// move the state in and back out.
 #[derive(Debug, Default)]
 pub(crate) struct RoundState {
     pub(crate) instance: Instance,
@@ -145,10 +170,10 @@ pub(crate) struct RoundState {
     pub(crate) batch: bool,
 }
 
-/// Everything one pooled **run** shares between its coordinator and any
-/// helpers the scheduler sends its way. `Arc`-shared so workers can
+/// Everything one blocking **run** shares between its coordinator and
+/// any helpers the scheduler sends its way. `Arc`-shared so workers can
 /// hold it without borrowing from the coordinator's stack; published on
-/// the scheduler board for the duration of the run.
+/// the scheduler board from the run's first shared phase to its end.
 #[derive(Debug)]
 pub(crate) struct RunShared {
     pub(crate) tgds: Arc<TgdSet>,
@@ -176,10 +201,9 @@ pub(crate) struct RunShared {
     /// [`RunShared::close_phase`] until `helpers` drains to zero.
     idle: Mutex<()>,
     idle_cv: Condvar,
-    /// Completed enumerate units: `(task index, batch, considered)`,
-    /// published in completion order and re-sorted canonically by the
-    /// coordinator.
-    pub(crate) results: Mutex<Vec<(u32, TriggerBatch, usize)>>,
+    /// Completed enumerate units, published in completion order and
+    /// re-sorted canonically by the coordinator.
+    pub(crate) results: Mutex<Vec<UnitOutput>>,
     /// Completed resolve units, re-sorted by range start.
     pub(crate) resolve_results: Mutex<Vec<ResolvedBatch>>,
     /// Recycled (cleared) arenas: popped per unit, returned by the
@@ -194,12 +218,12 @@ pub(crate) struct RunShared {
 }
 
 impl RunShared {
-    /// A fresh run around `round`, with no phase open.
-    pub(crate) fn new(tgds: Arc<TgdSet>, config: ChaseConfig, round: RoundState) -> Self {
+    /// A fresh run with no state lent and no phase open.
+    pub(crate) fn new(tgds: Arc<TgdSet>, config: ChaseConfig) -> Self {
         RunShared {
             tgds,
             config,
-            round: RwLock::new(round),
+            round: RwLock::new(RoundState::default()),
             next_unit: AtomicUsize::new(0),
             total_units: AtomicUsize::new(0),
             phase: AtomicUsize::new(0),
@@ -265,10 +289,9 @@ impl RunShared {
         mark.elapsed().as_secs_f64()
     }
 
-    /// Unconditionally closes whatever phase might be open — the
-    /// coordinator's unwind path (run_pooled calls this after catching
-    /// a coordinator panic, before reclaiming the round state), and the
-    /// normal end of run. Safe to call any number of times.
+    /// Unconditionally closes whatever phase might be open — what a
+    /// [`Lend`] does before handing the round state back (on unwind
+    /// too), and the end of a run. Safe to call any number of times.
     pub(crate) fn quiesce(&self) {
         let _ = self.close_phase();
     }
@@ -339,7 +362,7 @@ impl RunShared {
     /// snapshot and batching the results. Batch arenas come from the
     /// recycle pool, so the steady state allocates nothing per task.
     fn drain_tasks(&self, ph: usize, ws: &mut WorkerScratch) {
-        let mut out: Vec<(u32, TriggerBatch, usize)> = Vec::new();
+        let mut out: Vec<UnitOutput> = Vec::new();
         loop {
             if self.phase.load(Ordering::SeqCst) != ph || self.failed.load(Ordering::Relaxed) {
                 break;
@@ -368,7 +391,7 @@ impl RunShared {
                 .unwrap_or_default();
             let considered = if round.batch {
                 // Helper emit spans overlap in wall time; the
-                // coordinator books the whole pooled lap as probe, so
+                // coordinator books the whole shared lap as probe, so
                 // the span is discarded here.
                 let mut emit = 0.0f64;
                 enumerate_task_batch(
@@ -391,7 +414,12 @@ impl RunShared {
                 )
             };
             drop(round);
-            out.push((i as u32, batch, considered));
+            out.push(UnitOutput {
+                task: i as u32,
+                batch,
+                considered,
+                flow: ws.take_probes(),
+            });
         }
         if !out.is_empty() {
             self.results
@@ -464,6 +492,221 @@ impl RunShared {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .take()
+    }
+}
+
+/// One enumerate unit's output, as its drainer publishes it: the unit's
+/// task index (its canonical merge position), its trigger batch, the
+/// homomorphisms it considered, and its batched-probe gauges — so the
+/// coordinator books every unit's work, whoever drained it.
+#[derive(Debug)]
+pub(crate) struct UnitOutput {
+    task: u32,
+    batch: TriggerBatch,
+    considered: usize,
+    flow: ProbeFlow,
+}
+
+/// A blocking `threads ≥ 2` run's line to the scheduler's helpers. The
+/// first phase the round loop shares publishes a [`RunShared`] on the
+/// board; [`Helpers::retire`] (or dropping, on unwind) takes it off
+/// again. A run whose rounds never get wide enough never publishes.
+pub(crate) struct Helpers<'a> {
+    sched: &'a Scheduler,
+    program: &'a PreparedProgram,
+    config: &'a ChaseConfig,
+    run: Option<Arc<RunShared>>,
+    /// Unit outputs of the last shared enumerate phase (recycled).
+    units: Vec<UnitOutput>,
+    /// The last shared resolve stage's output, in range order.
+    resolved: Vec<ResolvedBatch>,
+}
+
+impl<'a> Helpers<'a> {
+    pub(crate) fn new(
+        sched: &'a Scheduler,
+        program: &'a PreparedProgram,
+        config: &'a ChaseConfig,
+    ) -> Self {
+        Helpers {
+            sched,
+            program,
+            config,
+            run: None,
+            units: Vec::new(),
+            resolved: Vec::new(),
+        }
+    }
+
+    /// Does a non-fused round of `delta` atoms and `tasks` units share
+    /// its enumerate phase?
+    pub(crate) fn share_enumerate(delta: AtomIdx, tasks: usize) -> bool {
+        delta >= POOL_DELTA_MIN || tasks >= POOL_TASKS_MIN
+    }
+
+    /// The run's published [`RunShared`], publishing it on first use.
+    fn published(&mut self) -> Arc<RunShared> {
+        let (sched, program, config) = (self.sched, self.program, self.config);
+        Arc::clone(self.run.get_or_insert_with(|| {
+            let run = Arc::new(RunShared::new(program.shared_tgds(), *config));
+            sched.publish(&run);
+            run
+        }))
+    }
+
+    /// Drains the round's task list together with the helpers into
+    /// [`RoundDriver::units`] (canonical order), booking every unit's
+    /// considered count, probe gauges, and per-rule attribution. A
+    /// failed unit fails the run; the enumerate phase mutates nothing,
+    /// so the session is still at the round boundary.
+    pub(crate) fn enumerate(
+        &mut self,
+        core: &mut SessionCore,
+        driver: &mut RoundDriver,
+        stats: &mut ChaseStats,
+    ) -> Result<(), ChaseError> {
+        let run = self.published();
+        let tasks = driver.tasks.len();
+        {
+            let lend = Lend::new(&run, core, driver);
+            run.open_enumerate(tasks);
+            self.sched.kick();
+            run.drain(&mut lend.driver.ws);
+            stats.sched_wait_secs += run.close_phase();
+        }
+        stats.sched_occupancy = stats.sched_occupancy.max(self.sched.occupancy());
+        if let Some(err) = run.take_failure() {
+            return Err(err);
+        }
+        std::mem::swap(
+            &mut self.units,
+            &mut *run.results.lock().unwrap_or_else(|e| e.into_inner()),
+        );
+        self.units.sort_unstable_by_key(|u| u.task);
+        for u in self.units.drain(..) {
+            stats.triggers_considered += u.considered;
+            stats.note_probe_flow(u.flow);
+            core.apply
+                .note_considered(driver.tasks[u.task as usize].rule, u.considered);
+            driver.units.push(u.batch);
+        }
+        Ok(())
+    }
+
+    /// Resolves the round's planned triggers together with the helpers
+    /// into [`Helpers::resolved`]. A failed range fails the run; the
+    /// fired sets were already merged this round, so the session rolls
+    /// back to the round's watermarks and replays it on resume.
+    pub(crate) fn resolve(
+        &mut self,
+        core: &mut SessionCore,
+        driver: &mut RoundDriver,
+        stats: &mut ChaseStats,
+    ) -> Result<(), ChaseError> {
+        let run = self.published();
+        run.spare_resolved
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .extend(self.resolved.drain(..).map(|mut rb| {
+                rb.clear();
+                rb
+            }));
+        let planned = driver.bufs.plan.planned();
+        {
+            let lend = Lend::new(&run, core, driver);
+            run.open_resolve(planned);
+            self.sched.kick();
+            run.drain(&mut lend.driver.ws);
+            stats.sched_wait_secs += run.close_phase();
+        }
+        stats.sched_occupancy = stats.sched_occupancy.max(self.sched.occupancy());
+        if let Some(err) = run.take_failure() {
+            return Err(err);
+        }
+        std::mem::swap(
+            &mut self.resolved,
+            &mut *run
+                .resolve_results
+                .lock()
+                .unwrap_or_else(|e| e.into_inner()),
+        );
+        self.resolved.sort_unstable_by_key(ResolvedBatch::start);
+        Ok(())
+    }
+
+    /// The output of the last [`Helpers::resolve`], in range order.
+    pub(crate) fn resolved(&self) -> &[ResolvedBatch] {
+        &self.resolved
+    }
+
+    /// Hands merged unit batches back to the run's arena pool.
+    pub(crate) fn recycle(&mut self, units: &mut Vec<TriggerBatch>) {
+        if let Some(run) = &self.run {
+            run.spare
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .extend(units.drain(..).map(|mut b| {
+                    b.clear();
+                    b
+                }));
+        }
+    }
+
+    /// Takes the run off the board. Returns whether it was ever
+    /// published (that is, whether any phase was shared).
+    pub(crate) fn retire(mut self) -> bool {
+        self.take_off_board()
+    }
+
+    fn take_off_board(&mut self) -> bool {
+        let Some(run) = self.run.take() else {
+            return false;
+        };
+        run.quiesce();
+        self.sched.retire(&run);
+        true
+    }
+}
+
+impl Drop for Helpers<'_> {
+    fn drop(&mut self) {
+        self.take_off_board();
+    }
+}
+
+/// The round state a coordinator lends to its [`RunShared`] for one
+/// shared phase: the instance, fired sets, task list, and apply buffers
+/// move in on construction and back out on drop — after the phase is
+/// quiesced, and on unwind too, so the session never loses its state to
+/// the shared run.
+struct Lend<'a> {
+    run: &'a RunShared,
+    core: &'a mut SessionCore,
+    driver: &'a mut RoundDriver,
+}
+
+impl<'a> Lend<'a> {
+    fn new(run: &'a RunShared, core: &'a mut SessionCore, driver: &'a mut RoundDriver) -> Self {
+        let mut round = run.round.write().unwrap_or_else(|e| e.into_inner());
+        round.instance = std::mem::take(&mut core.instance);
+        round.fired = std::mem::take(&mut core.fired);
+        round.tasks = std::mem::take(&mut driver.tasks);
+        round.apply = std::mem::take(&mut driver.bufs);
+        round.delta_start = core.delta_start;
+        round.batch = driver.batch_round();
+        drop(round);
+        Lend { run, core, driver }
+    }
+}
+
+impl Drop for Lend<'_> {
+    fn drop(&mut self) {
+        self.run.quiesce();
+        let mut round = self.run.round.write().unwrap_or_else(|e| e.into_inner());
+        self.core.instance = std::mem::take(&mut round.instance);
+        self.core.fired = std::mem::take(&mut round.fired);
+        self.driver.tasks = std::mem::take(&mut round.tasks);
+        self.driver.bufs = std::mem::take(&mut round.apply);
     }
 }
 
@@ -803,7 +1046,7 @@ struct Job {
     core: SessionCore,
     driver: RoundDriver,
     /// Round-start fired watermarks (unused across slices — slices end
-    /// at round boundaries — but required by the round loops' contract).
+    /// at round boundaries — but required by the round loop's contract).
     marks: Vec<u32>,
     /// Per-slice stats folded into the job's lifetime totals.
     lifetime: ChaseStats,
@@ -818,70 +1061,37 @@ impl Job {
     /// Runs one quantum of the job's round loop. Returns
     /// [`ChaseOutcome::Deadline`] when the quantum expired with the
     /// chase unfinished (the caller requeues); any other outcome is
-    /// final. Mirrors the session `run_inner` contract: the whole slice
-    /// runs under `catch_unwind`, so a panicking job fails only itself.
+    /// final. The run bookkeeping — `catch_unwind` included, so a
+    /// panicking job fails only itself — is the session's
+    /// ([`SessionCore::run`]).
     fn slice(&mut self, quantum: Duration, occupancy: f64) -> ChaseOutcome {
         let mark = Instant::now();
-        let tgds = self.program.shared_tgds();
-        self.driver
-            .restart(&self.config, self.program.single_atom_bodies(), mark);
         let mut stats = ChaseStats {
             sched_wait_secs: std::mem::take(&mut self.queue_wait),
             sched_occupancy: occupancy,
             ..Default::default()
         };
-        let len_before = self.core.instance.len();
-        let nulls_before = self.core.apply.nulls.len();
-        self.core.apply.begin_run_telemetry(self.lifetime.rounds);
-        let fault_plan = crate::fault::resolved_plan(&self.config);
-        let _fault_guard = crate::fault::ArmGuard::arm(&fault_plan);
-        let fault_counters_before = nuchase_model::fault::counters();
-        let mut ctl = RunCtl {
-            rounds_base: self.lifetime.rounds,
-            run_rounds_cap: None,
-            pause_at_atoms: None,
+        let ctl = RunCtl {
             // The quantum is the only deadline a job ever runs under
-            // (jobs expose no user deadline), so `Deadline` below is
+            // (jobs expose no user deadline), so `Deadline` is
             // unambiguously "requeue".
             deadline: Some(mark + quantum),
-            cancel: Some(&self.shared.cancel),
-            max_heap_bytes: resolved_memory_limit(&self.config),
-            marks: Some(&mut self.marks),
+            ..RunCtl::new(
+                &self.config,
+                self.lifetime.rounds,
+                &self.shared.cancel,
+                &mut self.marks,
+            )
         };
-        let config = &self.config;
-        let core = &mut self.core;
-        let driver = &mut self.driver;
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            // Scheduler-boundary fault site: fires at the start of every
-            // job slice (never crossed by blocking sessions).
-            nuchase_model::fault::check(FaultSite::SchedJob);
-            if config.threads == 0 {
-                run_rounds_sequential(&tgds, config, core, driver, &mut ctl, &mut stats)
-            } else {
-                run_rounds_tasked(&tgds, config, core, driver, &mut ctl, &mut stats)
-            }
-        }));
-        let outcome = match caught {
-            Ok(outcome) => outcome,
-            Err(payload) => ChaseOutcome::Failed(ChaseError::from_panic(payload.as_ref())),
-        };
-        self.driver.finish_run(&mut stats);
-        if outcome == ChaseOutcome::Terminated {
-            self.core.delta_start = self.core.instance.len() as AtomIdx;
-        }
-        stats.atoms_created = self.core.instance.len() - len_before;
-        stats.nulls_created = self.core.apply.nulls.len() - nulls_before;
-        stats.peak_instance_bytes = self.core.instance.heap_bytes();
-        stats.instance_table_load = self.core.instance.table_load();
-        stats.index_spill_count = self.core.instance.spill_count();
-        stats.peak_null_bytes = self.core.apply.nulls.heap_bytes();
-        stats.wall_secs = mark.elapsed().as_secs_f64();
-        let fault_counters = nuchase_model::fault::counters();
-        stats.faults_injected =
-            (fault_counters.faults_injected - fault_counters_before.faults_injected) as usize;
-        stats.spill_fallbacks =
-            (fault_counters.spill_fallbacks - fault_counters_before.spill_fallbacks) as usize;
-        stats.retries = (fault_counters.retries - fault_counters_before.retries) as usize;
+        let outcome = self.core.run(
+            &self.program,
+            &self.config,
+            &mut self.driver,
+            Lanes::JobSlice,
+            ctl,
+            &mut stats,
+            mark,
+        );
         self.lifetime.absorb(&stats);
         outcome
     }
@@ -1205,13 +1415,7 @@ fn worker_main(inner: Arc<SchedInner>) {
         };
         inner.busy.fetch_add(1, Ordering::Relaxed);
         match work {
-            Work::Help(run) => {
-                run.help(&mut ws);
-                // Helper probe gauges are discarded like helper emit
-                // spans: their wall time overlaps, and the coordinator
-                // books its own share.
-                let _ = ws.take_probes();
-            }
+            Work::Help(run) => run.help(&mut ws),
             Work::Slice(queued) => run_job_slice(&inner, queued),
         }
         inner.busy.fetch_sub(1, Ordering::Relaxed);
@@ -1267,7 +1471,7 @@ fn run_job_slice(inner: &SchedInner, queued: Queued) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chase::sequential_chase;
+    use crate::chase::chase;
     use nuchase_model::parse_program;
 
     fn config(threads: usize) -> ChaseConfig {
@@ -1285,7 +1489,7 @@ mod tests {
             "e(a, b).\ne(b, c).\ne(c, d).\ne(X, Y), e(Y, Z) -> e(X, Z).\ne(X, Y) -> p(X, W).",
         )
         .unwrap();
-        let reference = sequential_chase(&p.database, &p.tgds, &config(0));
+        let reference = chase(&p.database, &p.tgds, &config(0));
         let program = PreparedProgram::compile(p.tgds);
         let engine = crate::Engine::from_config(&config(2));
         let handle = engine.submit(&program, &p.database);
@@ -1301,7 +1505,7 @@ mod tests {
         // threads == 0 engines have no eager scheduler; submit must
         // lazily spin up a single-worker one.
         let p = parse_program("r(a, b).\nr(X, Y) -> s(X, Z).").unwrap();
-        let reference = sequential_chase(&p.database, &p.tgds, &config(0));
+        let reference = chase(&p.database, &p.tgds, &config(0));
         let program = PreparedProgram::compile(p.tgds);
         let engine = crate::Engine::from_config(&config(0));
         let handle = engine.submit(&program, &p.database);
@@ -1370,7 +1574,7 @@ mod tests {
     #[test]
     fn wait_all_returns_results_in_handle_order() {
         let p = parse_program("e(a, b).\ne(b, c).\ne(X, Y), e(Y, Z) -> e(X, Z).").unwrap();
-        let reference = sequential_chase(&p.database, &p.tgds, &config(0));
+        let reference = chase(&p.database, &p.tgds, &config(0));
         let program = PreparedProgram::compile(p.tgds);
         for threads in [1, 2] {
             let engine = crate::Engine::from_config(&config(threads));
@@ -1390,7 +1594,7 @@ mod tests {
     #[test]
     fn wait_each_streams_every_index_once_in_order() {
         let p = parse_program("r(a, b).\nr(X, Y) -> s(X, Z).").unwrap();
-        let reference = sequential_chase(&p.database, &p.tgds, &config(0));
+        let reference = chase(&p.database, &p.tgds, &config(0));
         let program = PreparedProgram::compile(p.tgds);
         let engine = crate::Engine::from_config(&config(2));
         let handles: Vec<_> = (0..16)

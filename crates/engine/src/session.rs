@@ -1,12 +1,13 @@
-//! The prepared-program engine surface: compile once, chase many.
+//! The prepared-program engine surface — compile once, chase many — and
+//! the one round loop every chase runs.
 //!
-//! The chase free functions ([`crate::chase::chase`] and friends) are
-//! shaped for one-off runs: every call re-derives program metadata,
-//! re-allocates the round buffers, and (for multi-threaded runs) spins a
-//! worker pool up and back down. That is exactly wrong for the serving
-//! shape this workspace grows toward — one fixed Σ compiled once, run
-//! against many small databases and incremental updates. This module
-//! splits the engine into three owned types along those lines:
+//! The free function [`crate::chase::chase`] is shaped for one-off runs:
+//! every call re-derives program metadata, re-allocates the round
+//! buffers, and (for multi-threaded runs) spins a worker pool up and
+//! back down. That is exactly wrong for the serving shape this
+//! workspace grows toward — one fixed Σ compiled once, run against many
+//! small databases and incremental updates. This module splits the
+//! engine into three owned types along those lines:
 //!
 //! * [`PreparedProgram`] — a [`TgdSet`] compiled once (match plans are
 //!   built at TGD construction; preparing pins them behind an `Arc`
@@ -15,7 +16,7 @@
 //!   and an optional externally computed uniform-termination verdict);
 //! * [`Engine`] — the builder-configured execution policy (variant,
 //!   threads, apply path, budgets) plus everything reusable *across*
-//!   chases: a persistent worker pool whose threads park between runs
+//!   chases: a persistent scheduler whose threads park between runs
 //!   instead of being respawned, and recycled session buffers (per-rule
 //!   fired sets, [`RoundDriver`] arenas);
 //! * [`ChaseSession`] — one in-progress or finished chase: it owns the
@@ -25,10 +26,18 @@
 //!   deadline checks between rounds, and consumes into the classic
 //!   [`ChaseResult`] via [`ChaseSession::finish`].
 //!
-//! The legacy free functions remain as thin, documented shims over these
-//! types, so nothing downstream breaks — and the differential suites
-//! (`tests/properties.rs`, `tests/differential.rs`) pin that the shims
-//! produce byte-identical results to the pre-session engine.
+//! # One round loop
+//!
+//! Every run — a blocking [`ChaseSession::run`] at any thread count, or
+//! one slice of an [`Engine::submit`] job — goes through
+//! `SessionCore::run` into the same loop over the canonical
+//! `(rule, pivot, window)` task list. `threads` decides one thing only:
+//! at `threads ≥ 2`, a wide round's units and a wide resolve stage's
+//! ranges are shared with the scheduler's helpers ([`crate::sched`]).
+//! Because the semi-oblivious chase is derivation-independent, who
+//! drains a unit cannot change what it computes; results and work
+//! counters are identical at every thread count (`tests/properties.rs`
+//! pins both).
 //!
 //! # Incremental chasing and what "resume" guarantees
 //!
@@ -141,15 +150,13 @@ use nuchase_model::{Atom, AtomIdx, Instance, TgdClass, TgdSet};
 
 use crate::chase::{ChaseBudget, ChaseConfig, ChaseOutcome, ChaseResult, ChaseStats, ChaseVariant};
 use crate::dedup::TermTupleSet;
-use crate::fault::{ChaseError, FaultPlan};
+use crate::fault::{ChaseError, FaultPlan, FaultSite};
 use crate::nulls::NullStore;
-use crate::parallel::run_pooled;
 use crate::phase::{
-    enumerate_rule, enumerate_rule_batch, enumerate_rule_eager, enumerate_task,
-    enumerate_task_batch, enumerate_task_eager, fused_chain_round, ApplyState, RoundCtx,
-    RoundDriver,
+    enumerate_task, enumerate_task_batch, enumerate_task_eager, fused_chain_round, ApplyState,
+    RoundCtx, RoundDriver, WorkerScratch,
 };
-use crate::sched::{JobHandle, Scheduler};
+use crate::sched::{Helpers, JobHandle, Scheduler};
 use crate::telemetry::{RoundPath, TelemetryLevel, TelemetrySnapshot};
 
 /// A TGD set compiled once for any number of chases.
@@ -194,8 +201,8 @@ impl PreparedProgram {
         &self.tgds
     }
 
-    /// The shared handle to the compiled rules (what a pooled run hands
-    /// its workers).
+    /// The shared handle to the compiled rules (what a run sharing a
+    /// phase hands its helpers).
     pub(crate) fn shared_tgds(&self) -> Arc<TgdSet> {
         Arc::clone(&self.tgds)
     }
@@ -274,10 +281,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Worker count: `0` (default) the sequential reference engine, `1`
-    /// the single-worker task executor, `n ≥ 2` a persistent pool of
-    /// `n − 1` worker threads plus the coordinating caller. Results are
-    /// byte-identical at every setting.
+    /// Execution lanes: `0` (default) and `1` run every round on the
+    /// calling thread alone; `n ≥ 2` adds a persistent pool of `n − 1`
+    /// scheduler threads that help drain wide rounds. Every setting runs
+    /// the same round loop, and results are byte-identical at every
+    /// setting.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -325,9 +333,10 @@ impl EngineBuilder {
 }
 
 /// Recycled per-session buffers: the per-rule fired sets and the
-/// [`RoundDriver`] (worker scratch, trigger batch, apply buffers, task
-/// list). Handing these back on [`ChaseSession::finish`] is what makes a
-/// warm engine's per-chase setup allocation-free.
+/// [`RoundDriver`] (trigger batch, apply buffers, task list; its worker
+/// scratch starts fresh — see [`Engine::store_parts`]). Handing these
+/// back on [`ChaseSession::finish`] is what spares a warm engine's
+/// per-chase setup its arena allocations.
 #[derive(Debug)]
 struct SessionParts {
     fired: Vec<TermTupleSet>,
@@ -365,8 +374,8 @@ impl Engine {
     }
 
     /// An engine with exactly this configuration (the builder's
-    /// terminal step; also the adapter the legacy free-function shims
-    /// use).
+    /// terminal step; also what [`crate::chase::chase`] builds per
+    /// call).
     pub fn from_config(config: &ChaseConfig) -> Engine {
         let engine = Engine {
             config: *config,
@@ -446,9 +455,9 @@ impl Engine {
         self.chase_with_mark(program, database, Instant::now())
     }
 
-    /// [`Engine::chase`] with a caller-supplied start instant, so shims
-    /// account their own setup (clone, compile) into the run's wall and
-    /// first enumerate span — exactly as the pre-session engine did.
+    /// [`Engine::chase`] with a caller-supplied start instant, so
+    /// [`crate::chase::chase`] accounts its own setup (clone, compile)
+    /// into the run's wall and first enumerate span.
     pub(crate) fn chase_with_mark(
         &self,
         program: &PreparedProgram,
@@ -465,10 +474,16 @@ impl Engine {
     /// [`ChaseSession::finish`] skips this for failed sessions, so a
     /// mid-round panic can never leak half-written state into a future
     /// session.
-    fn store_parts(&self, mut fired: Vec<TermTupleSet>, driver: RoundDriver) {
+    fn store_parts(&self, mut fired: Vec<TermTupleSet>, mut driver: RoundDriver) {
         let mut spare = self.spare.lock().unwrap_or_else(|e| e.into_inner());
         if spare.len() < SPARE_PARTS_MAX {
             fired.iter_mut().for_each(TermTupleSet::clear);
+            // The worker scratch is sized by the widest round the chase
+            // ran: a 200-edge transitive closure leaves about 4 MB of
+            // batch columns and dedup arena in it. Kept, that high-water
+            // mark stays resident for every later chase; re-grown, it
+            // costs a chase a handful of allocations.
+            driver.ws = WorkerScratch::new();
             spare.push(SessionParts { fired, driver });
         }
     }
@@ -481,10 +496,9 @@ impl Engine {
 
     /// The shared scheduler, starting it on first use. A `threads ≤ 1`
     /// engine gets a single scheduler thread — enough to make
-    /// [`Engine::submit`] non-blocking while the jobs themselves still
-    /// run the byte-identical serial executors — but only one execution
-    /// lane, so that worker defers the job queue whenever a waiting
-    /// caller is draining it ([`JobHandle::wait`]'s caller-runs loop).
+    /// [`Engine::submit`] non-blocking — but only one execution lane, so
+    /// that worker defers the job queue whenever a waiting caller is
+    /// draining it ([`JobHandle::wait`]'s caller-runs loop).
     fn sched_lazy(&self) -> &Scheduler {
         self.sched.get_or_init(|| {
             Scheduler::new(
@@ -594,7 +608,7 @@ pub(crate) struct SessionCore {
     pub(crate) base_atoms: usize,
 }
 
-/// Per-run control state threaded through the round loops: lifetime
+/// Per-run control state threaded through the round loop: lifetime
 /// round accounting, the soft [`RunLimits`], cancellation/deadline, and
 /// the round-start fired watermarks for mid-round stop recovery.
 pub(crate) struct RunCtl<'a> {
@@ -608,25 +622,40 @@ pub(crate) struct RunCtl<'a> {
     /// Pause at the first round boundary past this instant.
     pub(crate) deadline: Option<Instant>,
     /// Cooperative cancellation flag, polled between rounds.
-    pub(crate) cancel: Option<&'a AtomicBool>,
+    pub(crate) cancel: &'a AtomicBool,
     /// Instance heap ceiling ([`ChaseBudget::max_heap_bytes`] or
     /// `NUCHASE_MEMORY_LIMIT_BYTES`): reaching it at a round boundary
     /// returns the resumable [`ChaseOutcome::MemoryLimit`].
     pub(crate) max_heap_bytes: Option<usize>,
-    /// Round-start per-rule fired watermarks (recorded when present).
-    pub(crate) marks: Option<&'a mut Vec<u32>>,
+    /// Round-start per-rule fired watermarks.
+    pub(crate) marks: &'a mut Vec<u32>,
 }
 
-/// The effective instance heap ceiling for a run: an explicit
-/// [`ChaseBudget::max_heap_bytes`] wins, else `NUCHASE_MEMORY_LIMIT_BYTES`.
-pub(crate) fn resolved_memory_limit(config: &ChaseConfig) -> Option<usize> {
-    config
-        .budget
-        .max_heap_bytes
-        .or_else(|| crate::config::env_usize("NUCHASE_MEMORY_LIMIT_BYTES"))
-}
+impl<'a> RunCtl<'a> {
+    /// Control state with no soft limits: the hard round budget counts
+    /// from `rounds_base`, and the heap ceiling is the effective one —
+    /// an explicit [`ChaseBudget::max_heap_bytes`] wins, else
+    /// `NUCHASE_MEMORY_LIMIT_BYTES`.
+    pub(crate) fn new(
+        config: &ChaseConfig,
+        rounds_base: usize,
+        cancel: &'a AtomicBool,
+        marks: &'a mut Vec<u32>,
+    ) -> Self {
+        RunCtl {
+            rounds_base,
+            run_rounds_cap: None,
+            pause_at_atoms: None,
+            deadline: None,
+            cancel,
+            max_heap_bytes: config
+                .budget
+                .max_heap_bytes
+                .or_else(|| crate::config::env_usize("NUCHASE_MEMORY_LIMIT_BYTES")),
+            marks,
+        }
+    }
 
-impl RunCtl<'_> {
     /// The round-boundary checkpoint: hard round budget, soft limits,
     /// cancellation, deadline — in that fixed order — then the
     /// round-start fired watermarks. Returns the outcome ending the run,
@@ -658,21 +687,129 @@ impl RunCtl<'_> {
                 return Some(ChaseOutcome::Paused);
             }
         }
-        if let Some(cancel) = self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Some(ChaseOutcome::Cancelled);
-            }
+        if self.cancel.load(Ordering::Relaxed) {
+            return Some(ChaseOutcome::Cancelled);
         }
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
                 return Some(ChaseOutcome::Deadline);
             }
         }
-        if let Some(marks) = self.marks.as_deref_mut() {
-            marks.clear();
-            marks.extend(fired.iter().map(|set| set.len() as u32));
-        }
+        self.marks.clear();
+        self.marks.extend(fired.iter().map(|set| set.len() as u32));
         None
+    }
+}
+
+/// Who drains a run's rounds.
+pub(crate) enum Lanes<'s> {
+    /// The calling thread alone.
+    Caller,
+    /// The calling thread, joined by this scheduler's helpers in wide
+    /// rounds — a `threads ≥ 2` blocking run.
+    Shared(&'s Scheduler),
+    /// A submitted job's slice on a scheduler lane: the lane's thread
+    /// alone, with the `sched_job` fault site guarding entry.
+    JobSlice,
+}
+
+impl SessionCore {
+    /// One run of the round loop, with the bookkeeping every run shares
+    /// — a [`ChaseSession`] run and a scheduler job slice alike: re-arm
+    /// the [`RoundDriver`] and the telemetry ring, arm the fault plan around the
+    /// run, run [`run_rounds`] under `catch_unwind`, and book the
+    /// end-of-run gauges into `stats`.
+    ///
+    /// Panic isolation, layer 1 of 3: the whole round loop runs under
+    /// `catch_unwind`, so a panicking round — injected or genuine —
+    /// fails only this run. (Layer 2 is the [`Helpers`]' lend, which
+    /// hands the round state back after a shared phase even on unwind;
+    /// layer 3 is each drainer catching its unit bodies, so scheduler
+    /// threads survive and re-park.) The mutable borrows are
+    /// unwind-safe here: on a failure the session either rolls back to
+    /// the last round boundary (injected faults — the fired-set
+    /// watermark machinery makes the replay idempotent) or poisons
+    /// itself and refuses further runs (genuine panics); a failed job
+    /// is final.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run(
+        &mut self,
+        program: &PreparedProgram,
+        config: &ChaseConfig,
+        driver: &mut RoundDriver,
+        lanes: Lanes<'_>,
+        mut ctl: RunCtl<'_>,
+        stats: &mut ChaseStats,
+        mark: Instant,
+    ) -> ChaseOutcome {
+        let len_before = self.instance.len();
+        let nulls_before = self.apply.nulls.len();
+        driver.restart(config, program.single_atom_bodies(), mark);
+        self.apply.begin_run_telemetry(ctl.rounds_base);
+        // Deterministic fault injection: arm the resolved plan around
+        // this run only (the guard disarms on every exit path, unwind
+        // included). Empty plans — the steady state — arm nothing.
+        let fault_plan = crate::fault::resolved_plan(config);
+        let _fault_guard = crate::fault::ArmGuard::arm(&fault_plan);
+        let fault_counters_before = nuchase_model::fault::counters();
+        let mut helpers = match lanes {
+            Lanes::Shared(sched) => Some(Helpers::new(sched, program, config)),
+            Lanes::Caller | Lanes::JobSlice => None,
+        };
+        let job_slice = matches!(lanes, Lanes::JobSlice);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if job_slice {
+                // Scheduler-boundary fault site: fires at the start of
+                // every job slice (never crossed by blocking sessions).
+                nuchase_model::fault::check(FaultSite::SchedJob);
+            }
+            run_rounds(
+                program.tgds(),
+                config,
+                self,
+                driver,
+                &mut ctl,
+                stats,
+                helpers.as_mut(),
+            )
+        }));
+        let outcome = match caught {
+            Ok(outcome) => outcome,
+            Err(payload) => ChaseOutcome::Failed(ChaseError::from_panic(payload.as_ref())),
+        };
+        driver.finish_run(stats);
+        // Taking a shared run off the board has no serial analogue; book
+        // it in its own bucket so the phase timers keep covering the wall
+        // without inflating commit.
+        if helpers.is_some_and(Helpers::retire) {
+            driver.lap_pool(stats);
+        }
+        // The final delta was fully enumerated and produced nothing:
+        // consume it, so a later resume (after `add_atoms`) chases
+        // exactly the added atoms.
+        if outcome == ChaseOutcome::Terminated {
+            self.delta_start = self.instance.len() as AtomIdx;
+        }
+        stats.atoms_created = self.instance.len() - len_before;
+        stats.nulls_created = self.apply.nulls.len() - nulls_before;
+        // Memory gauges: the instance and null store are append-only, so
+        // end-of-run footprints *are* the run peaks — one walk over the
+        // arena capacities here, zero hot-path cost.
+        stats.peak_instance_bytes = self.instance.heap_bytes();
+        stats.instance_table_load = self.instance.table_load();
+        stats.index_spill_count = self.instance.spill_count();
+        stats.peak_null_bytes = self.apply.nulls.heap_bytes();
+        stats.wall_secs = mark.elapsed().as_secs_f64();
+        // Fault accounting: attribute this run's injected hits, spill
+        // fallbacks, and absorbed retries (process-global monotonic
+        // counters, snapshotted around the run).
+        let fault_counters = nuchase_model::fault::counters();
+        stats.faults_injected =
+            (fault_counters.faults_injected - fault_counters_before.faults_injected) as usize;
+        stats.spill_fallbacks =
+            (fault_counters.spill_fallbacks - fault_counters_before.spill_fallbacks) as usize;
+        stats.retries = (fault_counters.retries - fault_counters_before.retries) as usize;
+        outcome
     }
 }
 
@@ -756,21 +893,7 @@ impl ChaseSession<'_, '_> {
                 set.truncate(watermark as usize);
             }
         }
-        let tgds = self.program.tgds();
-        let len_before = self.core.instance.len();
-        let nulls_before = self.core.apply.nulls.len();
-        self.driver
-            .restart(&self.config, self.program.single_atom_bodies(), mark);
-        let mut stats = ChaseStats::default();
-        self.core.apply.begin_run_telemetry(self.lifetime.rounds);
-        // Deterministic fault injection: arm the resolved plan around
-        // this run only (the guard disarms on every exit path, unwind
-        // included). Empty plans — the steady state — arm nothing.
-        let fault_plan = crate::fault::resolved_plan(&self.config);
-        let _fault_guard = crate::fault::ArmGuard::arm(&fault_plan);
-        let fault_counters_before = nuchase_model::fault::counters();
-        let mut ctl = RunCtl {
-            rounds_base: self.lifetime.rounds,
+        let ctl = RunCtl {
             run_rounds_cap: limits.and_then(|l| l.max_rounds),
             pause_at_atoms: limits.and_then(|l| l.pause_at_atoms),
             // The session deadline and a per-run deadline combine:
@@ -779,57 +902,28 @@ impl ChaseSession<'_, '_> {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             },
-            cancel: Some(&self.cancel),
-            max_heap_bytes: resolved_memory_limit(&self.config),
-            marks: Some(&mut self.marks),
+            ..RunCtl::new(
+                &self.config,
+                self.lifetime.rounds,
+                &self.cancel,
+                &mut self.marks,
+            )
         };
-        // Panic isolation, layer 1 of 3: the whole round loop runs under
-        // `catch_unwind`, so a panicking round — injected or genuine —
-        // fails only this session. (Layers 2 and 3 live in the pooled
-        // executor: the coordinator catches its own unwinds so the pool
-        // is always released and the round state always moved back, and
-        // each worker catches its task bodies so the pool threads
-        // survive and re-park.) The mutable borrows are unwind-safe
-        // here: on a failure the session either rolls back to the last
-        // round boundary (injected faults — the fired-set watermark
-        // machinery makes the replay idempotent) or poisons itself and
-        // refuses further runs (genuine panics).
-        let config = &self.config;
-        let engine = self.engine;
-        let program = self.program;
-        let core = &mut self.core;
-        let driver = &mut self.driver;
-        let caught =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match config.threads {
-                0 => run_rounds_sequential(tgds, config, core, driver, &mut ctl, &mut stats),
-                1 => run_rounds_tasked(tgds, config, core, driver, &mut ctl, &mut stats),
-                _ => run_pooled(
-                    engine
-                        .sched()
-                        .expect("threads >= 2 engines own a scheduler"),
-                    program.shared_tgds(),
-                    config,
-                    core,
-                    driver,
-                    &mut ctl,
-                    &mut stats,
-                    mark,
-                ),
-            }));
-        let outcome = match caught {
-            Ok(outcome) => outcome,
-            Err(payload) => ChaseOutcome::Failed(ChaseError::from_panic(payload.as_ref())),
+        let lanes = match self.engine.sched() {
+            Some(sched) if self.config.threads >= 2 => Lanes::Shared(sched),
+            _ => Lanes::Caller,
         };
-        if config.threads <= 1 {
-            driver.finish_run(&mut stats);
-        }
+        let mut stats = ChaseStats::default();
+        let outcome = self.core.run(
+            self.program,
+            &self.config,
+            &mut self.driver,
+            lanes,
+            ctl,
+            &mut stats,
+            mark,
+        );
         match &outcome {
-            // The final delta was fully enumerated and produced nothing:
-            // consume it, so a later resume (after `add_atoms`) chases
-            // exactly the added atoms.
-            ChaseOutcome::Terminated => {
-                core.delta_start = core.instance.len() as AtomIdx;
-            }
             // Hard budgets stop mid-round; round-boundary outcomes
             // (pause, cancellation, deadline, round budget, memory
             // ceiling) leave clean state behind.
@@ -852,25 +946,6 @@ impl ChaseSession<'_, '_> {
             }
             _ => {}
         }
-        stats.atoms_created = core.instance.len() - len_before;
-        stats.nulls_created = core.apply.nulls.len() - nulls_before;
-        // Memory gauges: the instance and null store are append-only, so
-        // end-of-run footprints *are* the run peaks — one walk over the
-        // arena capacities here, zero hot-path cost.
-        stats.peak_instance_bytes = core.instance.heap_bytes();
-        stats.instance_table_load = core.instance.table_load();
-        stats.index_spill_count = core.instance.spill_count();
-        stats.peak_null_bytes = core.apply.nulls.heap_bytes();
-        stats.wall_secs = mark.elapsed().as_secs_f64();
-        // Fault accounting: attribute this run's injected hits, spill
-        // fallbacks, and absorbed retries (process-global monotonic
-        // counters, snapshotted around the run).
-        let fault_counters = nuchase_model::fault::counters();
-        stats.faults_injected =
-            (fault_counters.faults_injected - fault_counters_before.faults_injected) as usize;
-        stats.spill_fallbacks =
-            (fault_counters.spill_fallbacks - fault_counters_before.spill_fallbacks) as usize;
-        stats.retries = (fault_counters.retries - fault_counters_before.retries) as usize;
         self.runs += 1;
         self.outcome = Some(outcome.clone());
         self.lifetime.absorb(&stats);
@@ -1036,161 +1111,30 @@ impl ChaseSession<'_, '_> {
     }
 }
 
-/// The sequential round loop (`threads == 0`): whole-rule delta sweeps
-/// through [`enumerate_rule`], the [`RoundDriver`] apply paths, and the
-/// chain micro-round fast path. Byte-identical to the pre-session
-/// `sequential_chase` loop (the differential suites pin it); the only
-/// additions are the round-boundary [`RunCtl::checkpoint`].
-pub(crate) fn run_rounds_sequential(
+/// The round loop — the one loop every chase runs, blocking or sliced,
+/// at every thread count. Each round: the round-boundary
+/// [`RunCtl::checkpoint`]; the chain micro-round when the program and
+/// the round allow it; otherwise the canonical `(rule, pivot, window)`
+/// task list, drained with eager dedup on fused rounds, through the
+/// batch or per-trigger enumerators otherwise; then the apply step on
+/// the path [`RoundDriver::begin_round`] chose (fused pass, or merge →
+/// plan → resolve → commit).
+///
+/// `helpers` only decides who drains a wide round's units: when given
+/// (a `threads ≥ 2` blocking run), a non-fused round that reaches
+/// [`Helpers::share_enumerate`]'s floors shares its task list with the
+/// scheduler's helpers, and a wide resolve stage its ranges
+/// ([`RoundDriver::apply`]). Every unit computes the same output
+/// whoever drains it, and the outputs merge in canonical order, so
+/// results and work counters are identical at every thread count.
+pub(crate) fn run_rounds(
     tgds: &TgdSet,
     config: &ChaseConfig,
     core: &mut SessionCore,
     driver: &mut RoundDriver,
     ctl: &mut RunCtl<'_>,
     stats: &mut ChaseStats,
-) -> ChaseOutcome {
-    loop {
-        if let Some(stop) = ctl.checkpoint(config, stats.rounds, &core.instance, &core.fired) {
-            return stop;
-        }
-        stats.rounds += 1;
-
-        let round_delta = core.instance.len() - core.delta_start as usize;
-        let eager = driver.begin_round(core.instance.len() as AtomIdx - core.delta_start, stats);
-
-        // Chain micro-round: every rule body is a single atom and the
-        // round is fused-eligible — enumerate, dedup, and fire in one
-        // pass over the delta window, no trigger batch at all.
-        if driver.chain_round() {
-            let len_before = core.instance.len();
-            let (considered, any, stop) = fused_chain_round(
-                tgds,
-                config,
-                &mut core.instance,
-                &mut core.fired,
-                &mut core.apply,
-                &mut driver.ws,
-                (core.delta_start, len_before as AtomIdx),
-                stats,
-            );
-            stats.triggers_considered += considered;
-            driver.lap_chain_round(stats);
-            core.apply.record_round(
-                stats.rounds,
-                RoundPath::Chain,
-                round_delta,
-                core.instance.len(),
-                stats,
-            );
-            if let Some(stop) = stop {
-                return stop;
-            }
-            if !any || core.instance.len() == len_before {
-                return ChaseOutcome::Terminated;
-            }
-            core.delta_start = len_before as AtomIdx;
-            continue;
-        }
-
-        // Phase 1: enumerate new triggers against the frozen instance.
-        driver.batch.clear();
-        let ctx = RoundCtx {
-            tgds,
-            variant: config.variant,
-            delta_start: core.delta_start,
-        };
-        let batch_round = driver.batch_round();
-        let mut emit = 0.0f64;
-        let timed = core.apply.sample_rule_timing();
-        for (rule, _) in tgds.iter() {
-            let rule_mark = timed.then(Instant::now);
-            let considered = if eager {
-                enumerate_rule_eager(
-                    &core.instance,
-                    ctx,
-                    rule,
-                    &mut core.fired[rule.index()],
-                    &mut driver.ws,
-                    &mut driver.batch,
-                )
-            } else if batch_round {
-                enumerate_rule_batch(
-                    &core.instance,
-                    ctx,
-                    rule,
-                    &core.fired[rule.index()],
-                    &mut driver.ws,
-                    &mut driver.batch,
-                    &mut emit,
-                )
-            } else {
-                enumerate_rule(
-                    &core.instance,
-                    ctx,
-                    rule,
-                    &core.fired[rule.index()],
-                    &mut driver.ws,
-                    &mut driver.batch,
-                )
-            };
-            stats.triggers_considered += considered;
-            core.apply.note_considered(rule, considered);
-            if let Some(mark) = rule_mark {
-                core.apply
-                    .note_rule_secs(rule, mark.elapsed().as_secs_f64());
-            }
-        }
-        driver.note_emit(emit);
-        stats.note_probe_flow(driver.ws.take_probes());
-        driver.lap_enumerate(stats);
-        if driver.batch.is_empty() {
-            core.apply.record_round(
-                stats.rounds,
-                driver.round_path(),
-                round_delta,
-                core.instance.len(),
-                stats,
-            );
-            return ChaseOutcome::Terminated;
-        }
-
-        // Phase 2: apply on the path `begin_round` chose.
-        let len_before = core.instance.len();
-        let stop = driver.apply(
-            tgds,
-            config,
-            &mut core.instance,
-            &mut core.fired,
-            &mut core.apply,
-            stats,
-        );
-        core.apply.record_round(
-            stats.rounds,
-            driver.round_path(),
-            round_delta,
-            core.instance.len(),
-            stats,
-        );
-        if let Some(stop) = stop {
-            return stop;
-        }
-        if core.instance.len() == len_before {
-            return ChaseOutcome::Terminated;
-        }
-        core.delta_start = len_before as AtomIdx;
-    }
-}
-
-/// The single-worker task loop (`threads == 1`): the same rounds as the
-/// pool executor — canonical `(rule, pivot, window)` task decomposition
-/// — minus the synchronization; this is the 1-thread scaling baseline.
-pub(crate) fn run_rounds_tasked(
-    tgds: &TgdSet,
-    config: &ChaseConfig,
-    core: &mut SessionCore,
-    driver: &mut RoundDriver,
-    ctl: &mut RunCtl<'_>,
-    stats: &mut ChaseStats,
+    mut helpers: Option<&mut Helpers<'_>>,
 ) -> ChaseOutcome {
     loop {
         if let Some(stop) = ctl.checkpoint(config, stats.rounds, &core.instance, &core.fired) {
@@ -1199,12 +1143,13 @@ pub(crate) fn run_rounds_tasked(
         stats.rounds += 1;
 
         let len = core.instance.len() as AtomIdx;
-        let round_delta = (len - core.delta_start) as usize;
-        let eager = driver.begin_round(len - core.delta_start, stats);
+        let delta = len - core.delta_start;
+        let eager = driver.begin_round(delta, stats);
 
-        // Chain micro-round: one fused pass, no task list, no batch.
+        // Chain micro-round: every rule body is a single atom and the
+        // round is fused — enumerate, dedup, and fire in one pass over
+        // the delta window, no task list, no trigger batch.
         if driver.chain_round() {
-            let len_before = core.instance.len();
             let (considered, any, stop) = fused_chain_round(
                 tgds,
                 config,
@@ -1212,7 +1157,7 @@ pub(crate) fn run_rounds_tasked(
                 &mut core.fired,
                 &mut core.apply,
                 &mut driver.ws,
-                (core.delta_start, len_before as AtomIdx),
+                (core.delta_start, len),
                 stats,
             );
             stats.triggers_considered += considered;
@@ -1220,107 +1165,122 @@ pub(crate) fn run_rounds_tasked(
             core.apply.record_round(
                 stats.rounds,
                 RoundPath::Chain,
-                round_delta,
+                delta as usize,
                 core.instance.len(),
                 stats,
             );
             if let Some(stop) = stop {
                 return stop;
             }
-            if !any || core.instance.len() == len_before {
+            if !any || core.instance.len() == len as usize {
                 return ChaseOutcome::Terminated;
             }
-            core.delta_start = len_before as AtomIdx;
+            core.delta_start = len;
             continue;
         }
 
+        // Phase 1: enumerate new triggers against the frozen instance.
         driver.prepare_tasks(tgds, core.delta_start, len);
         driver.batch.clear();
-        let ctx = RoundCtx {
-            tgds,
-            variant: config.variant,
-            delta_start: core.delta_start,
-        };
-        let batch_round = driver.batch_round();
-        let mut emit = 0.0f64;
-        let timed = core.apply.sample_rule_timing();
-        for i in 0..driver.tasks.len() {
-            let task = driver.tasks[i];
-            let rule_mark = timed.then(Instant::now);
-            let considered = if eager {
-                enumerate_task_eager(
-                    &core.instance,
-                    ctx,
-                    task,
-                    &mut core.fired[task.rule.index()],
-                    &mut driver.ws,
-                    &mut driver.batch,
-                )
-            } else if batch_round {
-                enumerate_task_batch(
-                    &core.instance,
-                    ctx,
-                    task,
-                    &core.fired[task.rule.index()],
-                    &mut driver.ws,
-                    &mut driver.batch,
-                    &mut emit,
-                )
-            } else {
-                enumerate_task(
-                    &core.instance,
-                    ctx,
-                    task,
-                    &core.fired[task.rule.index()],
-                    &mut driver.ws,
-                    &mut driver.batch,
-                )
-            };
-            stats.triggers_considered += considered;
-            core.apply.note_considered(task.rule, considered);
-            if let Some(mark) = rule_mark {
-                core.apply
-                    .note_rule_secs(task.rule, mark.elapsed().as_secs_f64());
+        match helpers.as_deref_mut() {
+            Some(h) if !eager && Helpers::share_enumerate(delta, driver.tasks.len()) => {
+                if let Err(err) = h.enumerate(core, driver, stats) {
+                    return ChaseOutcome::Failed(err);
+                }
             }
+            _ => enumerate_inline(tgds, config, core, driver, eager, stats),
         }
-        driver.note_emit(emit);
-        stats.note_probe_flow(driver.ws.take_probes());
         driver.lap_enumerate(stats);
-        if driver.batch.is_empty() {
+        if driver.no_triggers() {
             core.apply.record_round(
                 stats.rounds,
                 driver.round_path(),
-                round_delta,
+                delta as usize,
                 core.instance.len(),
                 stats,
             );
             return ChaseOutcome::Terminated;
         }
 
-        let len_before = core.instance.len();
-        let stop = driver.apply(
-            tgds,
-            config,
-            &mut core.instance,
-            &mut core.fired,
-            &mut core.apply,
-            stats,
-        );
+        // Phase 2: apply on the path `begin_round` chose.
+        let stop = driver.apply(tgds, config, core, stats, helpers.as_deref_mut());
         core.apply.record_round(
             stats.rounds,
             driver.round_path(),
-            round_delta,
+            delta as usize,
             core.instance.len(),
             stats,
         );
         if let Some(stop) = stop {
             return stop;
         }
-        if core.instance.len() == len_before {
+        if core.instance.len() == len as usize {
             return ChaseOutcome::Terminated;
         }
-        core.delta_start = len_before as AtomIdx;
+        core.delta_start = len;
     }
+}
+
+/// Drains the round's task list on the calling thread, in canonical
+/// order, into [`RoundDriver::batch`]: eager dedup on fused rounds, the
+/// batch or per-trigger enumerators otherwise.
+fn enumerate_inline(
+    tgds: &TgdSet,
+    config: &ChaseConfig,
+    core: &mut SessionCore,
+    driver: &mut RoundDriver,
+    eager: bool,
+    stats: &mut ChaseStats,
+) {
+    let ctx = RoundCtx {
+        tgds,
+        variant: config.variant,
+        delta_start: core.delta_start,
+    };
+    let batch_round = driver.batch_round();
+    let mut emit = 0.0f64;
+    let timed = core.apply.sample_rule_timing();
+    for &task in &driver.tasks {
+        let rule_mark = timed.then(Instant::now);
+        let fired = &mut core.fired[task.rule.index()];
+        let considered = if eager {
+            enumerate_task_eager(
+                &core.instance,
+                ctx,
+                task,
+                fired,
+                &mut driver.ws,
+                &mut driver.batch,
+            )
+        } else if batch_round {
+            enumerate_task_batch(
+                &core.instance,
+                ctx,
+                task,
+                fired,
+                &mut driver.ws,
+                &mut driver.batch,
+                &mut emit,
+            )
+        } else {
+            enumerate_task(
+                &core.instance,
+                ctx,
+                task,
+                fired,
+                &mut driver.ws,
+                &mut driver.batch,
+            )
+        };
+        stats.triggers_considered += considered;
+        core.apply.note_considered(task.rule, considered);
+        if let Some(mark) = rule_mark {
+            core.apply
+                .note_rule_secs(task.rule, mark.elapsed().as_secs_f64());
+        }
+    }
+    driver.note_emit(emit);
+    stats.note_probe_flow(driver.ws.take_probes());
 }
 
 #[cfg(test)]

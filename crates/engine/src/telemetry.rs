@@ -119,7 +119,8 @@ pub struct RuleTelemetry {
     /// ([`TelemetryLevel::Full`] only; the sum of sampled spans, not a
     /// total — compare rules against each other, not against
     /// [`ChaseStats::enumerate_secs`]). Fused chain micro-rounds and
-    /// pooled enumeration (overlapping worker spans) contribute nothing.
+    /// enumeration shared with helpers (overlapping worker spans)
+    /// contribute nothing.
     pub sampled_secs: f64,
 }
 

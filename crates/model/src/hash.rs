@@ -480,7 +480,7 @@ impl TagTable {
 
     /// Empties the table, keeping its slot allocation. Used by arenas that
     /// are recycled between work units (e.g. per-task trigger dedup in the
-    /// parallel executor). O(capacity); when the caller has tracked the
+    /// enumerators). O(capacity); when the caller has tracked the
     /// filled slots, [`TagTable::clear_sparse`] is O(entries) instead.
     pub fn clear(&mut self) {
         self.lines.fill(EMPTY_LINE);

@@ -300,7 +300,7 @@ impl MatchPlan {
     /// `window = [lo, hi)` (which must lie within the delta
     /// `[delta_start, len)`).
     ///
-    /// This is the parallel executor's task unit: for a fixed
+    /// This is the chase round loop's task unit: for a fixed
     /// `delta_start`, the homomorphism sets produced by
     /// `(pivot, window)` over all pivot stages and a disjoint cover of
     /// the delta by windows partition exactly the homomorphisms of
@@ -434,54 +434,6 @@ impl MatchPlan {
             bs,
             &mut on_block,
         );
-    }
-
-    /// The batch counterpart of [`MatchPlan::for_each_hom_delta`]: the
-    /// full delta sweep (all pivot stages, in stage order) through the
-    /// lane programs, delivering the same bindings in the same order as
-    /// the backtracking sweep. With `delta_start == 0` only pivot 0 runs,
-    /// windowed over the whole instance — which partitions the full
-    /// enumeration (see [`MatchPlan::for_each_hom_pivot`]).
-    ///
-    /// # Panics
-    /// Panics on plans compiled with [`MatchPlan::compile_scan`] (when
-    /// the delta is nonempty).
-    pub fn for_each_hom_delta_batch(
-        &self,
-        inst: &Instance,
-        delta_start: AtomIdx,
-        bs: &mut BatchScratch,
-        mut on_block: impl FnMut(&BindingBlock<'_>) -> ControlFlow<()>,
-    ) {
-        let len = inst.len() as AtomIdx;
-        if delta_start >= len {
-            return; // empty delta: nothing new can match
-        }
-        assert!(
-            self.lane_pivots.len() == self.full.len(),
-            "batch enumeration on a plan compiled with MatchPlan::compile_scan"
-        );
-        if delta_start == 0 {
-            let _ = self.batch_pivot_sized(inst, 0, 0, (0, len), BATCH_BLOCK, bs, &mut on_block);
-            return;
-        }
-        for pivot in 0..self.lane_pivots.len() {
-            let window = (delta_start, len);
-            if self
-                .batch_pivot_sized(
-                    inst,
-                    delta_start,
-                    pivot,
-                    window,
-                    BATCH_BLOCK,
-                    bs,
-                    &mut on_block,
-                )
-                .is_break()
-            {
-                return;
-            }
-        }
     }
 
     /// The lane-program executor behind the batch entry points, with an
@@ -1213,21 +1165,32 @@ mod tests {
         out
     }
 
+    /// The full delta sweep through the lane programs — every pivot
+    /// stage over the whole delta window, or pivot 0 over the whole
+    /// instance on the first round — the batch counterpart of
+    /// [`MatchPlan::for_each_hom_delta`].
     fn collect_delta_batch(
         plan: &MatchPlan,
         inst: &Instance,
         delta_start: AtomIdx,
     ) -> Vec<Vec<Term>> {
-        let mut bs = BatchScratch::new();
+        let len = inst.len() as AtomIdx;
+        let pivots = if delta_start == 0 {
+            1
+        } else {
+            plan.pivot_count()
+        };
         let mut out = Vec::new();
-        let mut row = Vec::new();
-        plan.for_each_hom_delta_batch(inst, delta_start, &mut bs, |block| {
-            for r in 0..block.rows() {
-                block.read_row(r, &mut row);
-                out.push(row.clone());
-            }
-            ControlFlow::Continue(())
-        });
+        for pivot in 0..pivots {
+            out.extend(collect_pivot_batch(
+                plan,
+                inst,
+                delta_start,
+                pivot,
+                (delta_start, len),
+                BATCH_BLOCK,
+            ));
+        }
         out
     }
 

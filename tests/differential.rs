@@ -291,12 +291,26 @@ fn parallel_executor_agrees_with_baseline_and_sequential() {
     assert!(checked > 30, "too few terminating samples ({checked})");
 }
 
+/// Does the environment keep every round off the batch path? The CI
+/// legs `NUCHASE_FORCE_BATCH_ENUM=0` and `NUCHASE_FORCE_PIPELINE=0`
+/// (whose fused rounds never batch) do, and an explicit
+/// `BatchEnum::Auto` defers to them.
+fn env_forbids_batching() -> bool {
+    let off = |name| {
+        matches!(
+            std::env::var(name).as_deref().map(str::trim),
+            Ok("0") | Ok("false")
+        )
+    };
+    off("NUCHASE_FORCE_BATCH_ENUM") || off("NUCHASE_FORCE_PIPELINE")
+}
+
 /// The columnar batch enumeration path vs the per-trigger backtracking
 /// search on a transitive-closure workload whose later rounds are wide
 /// enough to cross the batch floor naturally — the shape the batch path
-/// exists for. Forced on, and Auto with a floor the workload crosses,
+/// exists for. Forced on, and Auto (whose floor the workload crosses),
 /// both against an explicit per-trigger reference, at thread counts
-/// 0 (sequential), 1 (single-worker tasks), and 2 (pool).
+/// 0, 1, and 2 (helpers drain the wide rounds).
 #[test]
 fn batch_enumeration_agrees_on_wide_transitive_closure_rounds() {
     use nuchase_engine::{chase, BatchEnum, ChaseBudget, ChaseConfig};
@@ -344,7 +358,6 @@ fn batch_enumeration_agrees_on_wide_transitive_closure_rounds() {
                 "auto past floor",
                 ChaseConfig {
                     batch_enum: BatchEnum::Auto,
-                    batch_delta_min: 1024,
                     threads,
                     ..base
                 },
@@ -353,6 +366,13 @@ fn batch_enumeration_agrees_on_wide_transitive_closure_rounds() {
         for (label, cfg) in legs {
             let batched = chase(&db, &tgds, &cfg);
             let label = format!("{label}, {threads} threads");
+            // The closure's eighth round has a delta of 4128 atoms (the
+            // paths of lengths 129..160), past the batch floor of 4096,
+            // so even the Auto leg batches.
+            assert!(
+                batched.stats.batched_rounds > 0 || env_forbids_batching(),
+                "{label}: no batched round"
+            );
             assert_eq!(reference.outcome, batched.outcome, "{label}: outcome");
             assert!(
                 reference.instance.indexed_eq(&batched.instance),

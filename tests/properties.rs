@@ -12,13 +12,14 @@ use nuchase_engine::{
     chase, semi_oblivious_chase, ChaseBudget, ChaseConfig, ChaseResult, ChaseVariant,
 };
 use nuchase_gen::{random_program, RandomConfig};
-use nuchase_model::{Atom, Instance, TgdClass};
+use nuchase_model::{parse_program, Atom, Instance, Program, TgdClass};
 
 const CLASSES: [TgdClass; 3] = [TgdClass::SimpleLinear, TgdClass::Linear, TgdClass::Guarded];
 
-/// Thread counts the parallel determinism sweep pins: 1 (the parallel
-/// executor minus the pool), 2, and a non-power-of-two, plus whatever
-/// `NUCHASE_THREADS` asks for (the CI matrix routes 1 and 4 through it).
+/// Thread counts the determinism sweep pins against `threads: 0`: 1, 2
+/// (helpers drain wide rounds), and a non-power-of-two, plus whatever
+/// `NUCHASE_THREADS` asks for (the CI matrix routes 1, 4 and 8 through
+/// it).
 fn differential_thread_counts() -> Vec<usize> {
     let mut counts = vec![1usize, 2, 7];
     if let Some(n) = std::env::var("NUCHASE_THREADS")
@@ -72,11 +73,57 @@ fn assert_byte_identical(a: &ChaseResult, b: &ChaseResult, label: &str) {
     }
 }
 
-/// The parallel executor is **byte-identical** to the sequential engine —
-/// same atoms at the same indexes, same null names and depths, same
-/// provenance, same round/trigger counts — at thread counts 1, 2, and 7,
-/// across the random-instance sweep, for every chase variant (including
-/// the restricted chase, whose activeness re-check runs under the
+/// The work counters a run reports do not depend on who drained its
+/// units. Kept out of [`assert_byte_identical`]: the apply-path and
+/// batch sweeps share that helper, and there `fused_rounds` and the
+/// `batched_*` gauges differ by design.
+fn assert_same_counters(a: &ChaseResult, b: &ChaseResult, label: &str) {
+    let (sa, sb) = (&a.stats, &b.stats);
+    assert_eq!(sa.fused_rounds, sb.fused_rounds, "{label}: fused rounds");
+    assert_eq!(
+        sa.batched_rounds, sb.batched_rounds,
+        "{label}: batched rounds"
+    );
+    assert_eq!(
+        sa.batched_probes, sb.batched_probes,
+        "{label}: batched probes"
+    );
+    assert_eq!(
+        sa.prefetch_queue_depth, sb.prefetch_queue_depth,
+        "{label}: prefetch queue depth"
+    );
+    assert_eq!(sa.atoms_created, sb.atoms_created, "{label}: atoms created");
+    assert_eq!(sa.nulls_created, sb.nulls_created, "{label}: nulls created");
+}
+
+/// Transitive closure of an `n`-edge path. At `n = 200` its rounds 6–9
+/// have deltas of 2,824 to 6,688 atoms, so helpers drain them at
+/// `threads ≥ 2`, and rounds 7 and 8 cross the batch floor.
+fn path_closure(n: usize) -> Program {
+    let mut text = String::new();
+    for i in 0..n {
+        text.push_str(&format!("e(n{i}, n{}).\n", i + 1));
+    }
+    text.push_str("e(X, Y), e(Y, Z) -> e(X, Z).\n");
+    parse_program(&text).unwrap()
+}
+
+/// 18 rules over one body predicate: every round's task list reaches
+/// the helpers' task floor on a two-atom delta.
+fn eighteen_rules() -> Program {
+    let mut text = String::from("e(a, b).\ne(b, c).\n");
+    for i in 0..18 {
+        text.push_str(&format!("e(X, Y) -> q{i}(X, Y).\n"));
+    }
+    parse_program(&text).unwrap()
+}
+
+/// A chase is **byte-identical** at every thread count — same atoms at
+/// the same indexes, same null names and depths, same provenance, same
+/// round/trigger counts, and the same work counters — at thread counts
+/// 1, 2, and 7 against `threads: 0`, across the random-instance sweep
+/// plus two wide inputs, for every chase variant (including the
+/// restricted chase, whose activeness re-check runs under the
 /// enumerate/apply phase split).
 #[test]
 fn parallel_chase_matches_sequential_byte_for_byte() {
@@ -86,6 +133,7 @@ fn parallel_chase_matches_sequential_byte_for_byte() {
         ChaseVariant::Oblivious,
         ChaseVariant::Restricted,
     ];
+    let mut inputs: Vec<(String, Program, ChaseBudget)> = Vec::new();
     for class in CLASSES {
         for seed in 0..8u64 {
             let p = random_program(&RandomConfig {
@@ -93,22 +141,37 @@ fn parallel_chase_matches_sequential_byte_for_byte() {
                 seed,
                 ..Default::default()
             });
-            for variant in variants {
-                let cfg = ChaseConfig {
-                    variant,
-                    budget: ChaseBudget::atoms(5_000),
-                    record_provenance: true,
-                    ..Default::default()
-                };
-                let sequential = chase(&p.database, &p.tgds, &cfg);
-                for &threads in &counts {
-                    let parallel = chase(&p.database, &p.tgds, &ChaseConfig { threads, ..cfg });
-                    assert_byte_identical(
-                        &sequential,
-                        &parallel,
-                        &format!("{class:?} seed {seed} {variant:?} threads {threads}"),
-                    );
-                }
+            inputs.push((
+                format!("{class:?} seed {seed}"),
+                p,
+                ChaseBudget::atoms(5_000),
+            ));
+        }
+    }
+    inputs.push((
+        "path closure".into(),
+        path_closure(200),
+        ChaseBudget::atoms(40_000),
+    ));
+    inputs.push((
+        "18 rules".into(),
+        eighteen_rules(),
+        ChaseBudget::atoms(5_000),
+    ));
+    for (name, p, budget) in &inputs {
+        for variant in variants {
+            let cfg = ChaseConfig {
+                variant,
+                budget: *budget,
+                record_provenance: true,
+                ..Default::default()
+            };
+            let sequential = chase(&p.database, &p.tgds, &cfg);
+            for &threads in &counts {
+                let parallel = chase(&p.database, &p.tgds, &ChaseConfig { threads, ..cfg });
+                let label = format!("{name} {variant:?} threads {threads}");
+                assert_byte_identical(&sequential, &parallel, &label);
+                assert_same_counters(&sequential, &parallel, &label);
             }
         }
     }
@@ -324,13 +387,38 @@ fn telemetry_exports_round_trip_on_example_workloads() {
     }
 }
 
+/// Does the environment keep every round off the batch path? The CI
+/// legs `NUCHASE_FORCE_BATCH_ENUM=0` and `NUCHASE_FORCE_PIPELINE=0`
+/// (whose fused rounds never batch) do, and an explicit
+/// `BatchEnum::Auto` defers to them.
+fn env_forbids_batching() -> bool {
+    let off = |name| {
+        matches!(
+            std::env::var(name).as_deref().map(str::trim),
+            Ok("0") | Ok("false")
+        )
+    };
+    off("NUCHASE_FORCE_BATCH_ENUM") || off("NUCHASE_FORCE_PIPELINE")
+}
+
+/// A join whose first three rounds each have a delta of over 4,096
+/// atoms — past the batch floor, so `Auto` rounds batch.
+fn wide_join() -> Program {
+    let mut text = String::new();
+    for i in 0..4200 {
+        text.push_str(&format!("e(n{i}, n{}).\n", i + 1));
+    }
+    text.push_str("e(X, Y), e(Y, Z) -> p(X, Z).\np(X, Y) -> q(Y, W).\n");
+    parse_program(&text).unwrap()
+}
+
 /// The columnar batch enumeration path and the per-trigger backtracking
 /// search are byte-identical — same atoms at the same indexes, same null
 /// names and depths, same provenance, forest, and counters (including
 /// `triggers_considered`) — forced on/off across every chase variant and
-/// class, at thread counts 0 (sequential engine), 1 (single-worker task
-/// executor), and 2 (pool executor, batch inside each sharded task).
-/// `Auto` must equal both. Combined with the CI env sweep
+/// class, at thread counts 0, 1, and 2 (batch inside each shared task).
+/// `Auto` must equal both; on the wide join its rounds cross the batch
+/// floor, so it batches too. Combined with the CI env sweep
 /// (`NUCHASE_FORCE_BATCH_ENUM=0/1` over this whole file), this pins the
 /// batch path at threads 0/1/2/7 in both positions of every other
 /// differential.
@@ -342,6 +430,7 @@ fn batch_and_per_trigger_enumeration_are_byte_identical() {
         ChaseVariant::Oblivious,
         ChaseVariant::Restricted,
     ];
+    let mut inputs: Vec<(String, Program, ChaseBudget)> = Vec::new();
     for class in CLASSES {
         for seed in 0..5u64 {
             let p = random_program(&RandomConfig {
@@ -349,51 +438,62 @@ fn batch_and_per_trigger_enumeration_are_byte_identical() {
                 seed,
                 ..Default::default()
             });
-            for variant in variants {
-                for threads in [0usize, 1, 2] {
-                    let cfg = ChaseConfig {
-                        variant,
-                        threads,
-                        budget: ChaseBudget::atoms(4_000),
-                        record_provenance: true,
-                        build_forest: true,
-                        // Explicit Off: the reference leg stays on the
-                        // per-trigger path even under the CI env sweep's
-                        // NUCHASE_FORCE_BATCH_ENUM=1 (config beats env).
-                        batch_enum: BatchEnum::Off,
-                        // Batch every non-fused round, however small —
-                        // tiny rounds are where ordering bugs would hide.
-                        batch_delta_min: 0,
-                        ..Default::default()
-                    };
-                    let label = format!("{class:?} seed {seed} {variant:?} threads {threads}");
-                    let per_trigger = chase(&p.database, &p.tgds, &cfg);
-                    let batch = chase(
-                        &p.database,
-                        &p.tgds,
-                        &ChaseConfig {
-                            batch_enum: BatchEnum::On,
-                            ..cfg
-                        },
+            inputs.push((
+                format!("{class:?} seed {seed}"),
+                p,
+                ChaseBudget::atoms(4_000),
+            ));
+        }
+    }
+    inputs.push(("wide join".into(), wide_join(), ChaseBudget::atoms(20_000)));
+    for (name, p, budget) in &inputs {
+        for variant in variants {
+            for threads in [0usize, 1, 2] {
+                let cfg = ChaseConfig {
+                    variant,
+                    threads,
+                    budget: *budget,
+                    record_provenance: true,
+                    build_forest: true,
+                    // Explicit Off: the reference leg stays on the
+                    // per-trigger path even under the CI env sweep's
+                    // NUCHASE_FORCE_BATCH_ENUM=1 (config beats env).
+                    batch_enum: BatchEnum::Off,
+                    ..Default::default()
+                };
+                let label = format!("{name} {variant:?} threads {threads}");
+                let per_trigger = chase(&p.database, &p.tgds, &cfg);
+                let batch = chase(
+                    &p.database,
+                    &p.tgds,
+                    &ChaseConfig {
+                        batch_enum: BatchEnum::On,
+                        ..cfg
+                    },
+                );
+                assert_byte_identical(&per_trigger, &batch, &format!("{label} batch"));
+                let auto = chase(
+                    &p.database,
+                    &p.tgds,
+                    &ChaseConfig {
+                        batch_enum: BatchEnum::Auto,
+                        ..cfg
+                    },
+                );
+                assert_byte_identical(&per_trigger, &auto, &format!("{label} auto"));
+                if name == "wide join" && !env_forbids_batching() {
+                    assert!(
+                        auto.stats.batched_rounds > 0,
+                        "{label}: the auto leg never crossed the batch floor"
                     );
-                    assert_byte_identical(&per_trigger, &batch, &format!("{label} batch"));
-                    let auto = chase(
-                        &p.database,
-                        &p.tgds,
-                        &ChaseConfig {
-                            batch_enum: BatchEnum::Auto,
-                            ..cfg
-                        },
-                    );
-                    assert_byte_identical(&per_trigger, &auto, &format!("{label} auto"));
-                    let (fa, fb) = (
-                        per_trigger.forest.as_ref().expect("forest recorded"),
-                        batch.forest.as_ref().expect("forest recorded"),
-                    );
-                    assert_eq!(fa.len(), fb.len(), "{label}: forest length");
-                    for i in 0..fa.len() as u32 {
-                        assert_eq!(fa.parent(i), fb.parent(i), "{label}: parent of {i}");
-                    }
+                }
+                let (fa, fb) = (
+                    per_trigger.forest.as_ref().expect("forest recorded"),
+                    batch.forest.as_ref().expect("forest recorded"),
+                );
+                assert_eq!(fa.len(), fb.len(), "{label}: forest length");
+                for i in 0..fa.len() as u32 {
+                    assert_eq!(fa.parent(i), fb.parent(i), "{label}: parent of {i}");
                 }
             }
         }
