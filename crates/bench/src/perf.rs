@@ -1773,7 +1773,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 /// one [`Engine`] through the non-blocking [`Engine::submit`] queue,
 /// measured against the gated (blocking-loop) baseline the scheduler
 /// replaced. Sessions cycle through mixed fast/slow tenant databases
-/// ([`serve_tenants`] — the prepared bench's 512-tenant OBDA regime
+/// (`serve_tenants` — the prepared bench's 512-tenant OBDA regime
 /// with every eighth tenant 20× larger). Each concurrency level keeps
 /// the best-throughput iteration of `runs`; `quick` shrinks tenants and
 /// levels for the CI smoke.

@@ -383,14 +383,12 @@ pub fn cmd_serve(
         .build();
     match socket {
         None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
             serve_batch(
                 program,
                 &engine,
                 &prepared,
-                stdin.lock(),
-                &mut stdout.lock(),
+                std::io::stdin().lock(),
+                &mut std::io::stdout(),
             )?;
             Ok(String::new())
         }
@@ -437,10 +435,11 @@ pub fn cmd_serve(
     }
 }
 
-/// One request or a parse failure, queued so responses keep request
-/// order while later requests are still being read and submitted.
+/// One request read off the input: a submitted chase, with the µs its
+/// payload took to parse, ingest and submit, or a request that failed
+/// before it could be submitted. Answered in the order read.
 enum Pending {
-    Job(String, nuchase_engine::JobHandle),
+    Job(String, nuchase_engine::JobHandle, u64),
     Error(String, String),
 }
 
@@ -462,13 +461,17 @@ enum Pending {
 /// **Responses** — one per request:
 ///
 /// ```text
-/// <id> ok outcome=<name> atoms=<total> derived=<n> nulls=<n> rounds=<n> wall_us=<n> wait_us=<n>
+/// <id> ok outcome=<name> atoms=<total> derived=<n> nulls=<n> rounds=<n> wall_us=<n> wait_us=<n> parse_us=<n>
 /// <id> error <message>
 /// ```
 ///
-/// `wall_us` is the chase's own wall time, `wait_us` the time its
-/// slices waited on the shared scheduler — end-to-end latency is their
-/// sum. After EOF a trailing summary line is written:
+/// `parse_us` is the time the request's payload took to parse, to load
+/// into its database and to submit; `wait_us` the time its chase's
+/// slices waited on the shared scheduler; `wall_us` the chase's own
+/// wall time. A response is written the moment its chase ends, so the
+/// three account for a request's time from its line being read to its
+/// response being written, less any wait behind an earlier request
+/// still running. After EOF a trailing summary line is written:
 ///
 /// ```text
 /// served <n> ok <n> error <n>
@@ -476,11 +479,25 @@ enum Pending {
 ///
 /// Every request is submitted as a non-blocking job
 /// ([`Engine::submit`]) the moment its line is read, so many tenants'
-/// chases are in flight at once; responses stream out as soon as every
-/// earlier request has answered (request order, not completion order).
+/// chases are in flight at once. Responses keep request order but never
+/// wait for input: each is written as soon as its chase has ended and
+/// every earlier request has been answered, so a client that waits for
+/// each answer before it sends its next request is served. The first
+/// request is answered before the second line is read. From the second
+/// on, a scoped writer thread answers while the calling thread reads
+/// and submits. The writer blocks in [`JobHandle::wait`], which runs
+/// queued chases while it waits, so the writer is one of the engine's
+/// lanes rather than an idle thread. A one-request batch starts no
+/// thread.
+///
 /// A request that fails — unparsable facts, a failed chase — answers
 /// `error` and poisons nothing: the engine and all other requests
-/// proceed. Returns `(ok, error)` counts.
+/// proceed. A failed write ends the batch with that error; the reader
+/// stops before submitting another request. A failed read ends it once
+/// the requests already read are answered. Returns `(ok, error)`
+/// counts.
+///
+/// [`JobHandle::wait`]: nuchase_engine::JobHandle::wait
 pub fn serve_batch<R, W>(
     program: &mut Program,
     engine: &Engine,
@@ -490,34 +507,88 @@ pub fn serve_batch<R, W>(
 ) -> Result<(usize, usize), CliError>
 where
     R: std::io::BufRead,
-    W: std::io::Write,
+    W: std::io::Write + Send,
 {
-    let mut pending: std::collections::VecDeque<Pending> = std::collections::VecDeque::new();
-    let mut ok = 0usize;
-    let mut errors = 0usize;
-    for line in input.lines() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    let mut lines = input.lines();
+    let mut next_request = || -> std::io::Result<Option<Pending>> {
+        for line in lines.by_ref() {
+            let line = line?;
+            let line = line.trim();
+            if !line.is_empty() && !line.starts_with('#') {
+                return Ok(Some(submit_request(program, engine, prepared, line)));
+            }
         }
-        let (id, payload) = match line.split_once(char::is_whitespace) {
-            Some((id, rest)) => (id.to_string(), rest.trim().to_string()),
-            None => (line.to_string(), String::new()),
-        };
-        let queued = match request_database(program, &payload) {
-            Ok(db) => Pending::Job(id, engine.submit_owned(prepared, db)),
-            Err(e) => Pending::Error(id, e.to_string()),
-        };
-        pending.push_back(queued);
-        // Stream out whatever is already answerable without blocking
-        // the admission of further requests.
-        flush_ready(&mut pending, out, &mut ok, &mut errors, false)?;
+        Ok(None)
+    };
+    let mut responder = Responder {
+        out,
+        line: String::new(),
+        ok: 0,
+        errors: 0,
+    };
+    if let Some(first) = next_request()? {
+        responder.answer(first)?;
+        if let Some(second) = next_request()? {
+            responder = std::thread::scope(|scope| {
+                let (queue, requests) = std::sync::mpsc::channel();
+                let writer = scope.spawn(move || {
+                    for pending in requests {
+                        responder.answer(pending)?;
+                    }
+                    Ok::<_, std::io::Error>(responder)
+                });
+                let mut read = Ok(());
+                let mut request = Some(second);
+                while let Some(pending) = request {
+                    // A closed queue means the writer failed; its error
+                    // is returned below.
+                    if queue.send(pending).is_err() {
+                        break;
+                    }
+                    match next_request() {
+                        Ok(next) => request = next,
+                        Err(e) => {
+                            read = Err(e);
+                            break;
+                        }
+                    }
+                }
+                drop(queue);
+                let responder = writer
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+                read.map(|()| responder)
+            })?;
+        }
     }
-    flush_ready(&mut pending, out, &mut ok, &mut errors, true)?;
+    let Responder {
+        out, ok, errors, ..
+    } = responder;
     writeln!(out, "served {} ok {ok} error {errors}", ok + errors)?;
     out.flush()?;
     Ok((ok, errors))
+}
+
+/// Splits one request line into its id and payload, builds the payload's
+/// database and submits its chase.
+fn submit_request(
+    program: &mut Program,
+    engine: &Engine,
+    prepared: &PreparedProgram,
+    line: &str,
+) -> Pending {
+    let (id, payload) = match line.split_once(char::is_whitespace) {
+        Some((id, rest)) => (id.to_string(), rest.trim()),
+        None => (line.to_string(), ""),
+    };
+    let started = std::time::Instant::now();
+    match request_database(program, payload) {
+        Ok(db) => {
+            let handle = engine.submit_owned(prepared, db);
+            Pending::Job(id, handle, started.elapsed().as_micros() as u64)
+        }
+        Err(e) => Pending::Error(id, e.to_string()),
+    }
 }
 
 /// Builds one request's database: the program's base facts plus the
@@ -541,51 +612,32 @@ fn request_database(
     Ok(db)
 }
 
-/// Pops answered requests off the front of the queue (blocking on the
-/// front job when `block`) and writes their responses in request order.
-fn flush_ready<W: std::io::Write>(
-    pending: &mut std::collections::VecDeque<Pending>,
-    out: &mut W,
-    ok: &mut usize,
-    errors: &mut usize,
-    block: bool,
-) -> Result<(), CliError> {
-    loop {
-        let result = match pending.front() {
-            None => return Ok(()),
-            Some(Pending::Error(..)) => None,
-            Some(Pending::Job(_, handle)) => {
-                if block {
-                    None // popped below; `wait` consumes the handle
-                } else if let Some(result) = handle.try_take() {
-                    Some(result)
-                } else {
-                    return Ok(());
-                }
-            }
-        };
-        match pending.pop_front().expect("front checked above") {
-            Pending::Error(id, msg) => {
-                *errors += 1;
-                writeln!(out, "{id} error {msg}")?;
-            }
-            Pending::Job(id, handle) => {
-                let result = match result {
-                    Some(r) => r,
-                    None => handle.wait(),
-                };
+/// Writes `serve` responses in the order it is handed requests, and
+/// counts them.
+struct Responder<'a, W> {
+    out: &'a mut W,
+    /// One response line, formatted whole so it goes out in one write.
+    line: String,
+    ok: usize,
+    errors: usize,
+}
+
+impl<W: std::io::Write> Responder<'_, W> {
+    /// Waits for `pending`'s chase, if it has one, and writes its
+    /// response.
+    fn answer(&mut self, pending: Pending) -> std::io::Result<()> {
+        match pending {
+            Pending::Error(id, msg) => self.error(&id, &msg),
+            Pending::Job(id, handle, parse_us) => {
+                let result = handle.wait();
                 match &result.outcome {
-                    ChaseOutcome::Failed(err) => {
-                        *errors += 1;
-                        writeln!(out, "{id} error {err}")?;
-                    }
+                    ChaseOutcome::Failed(err) => self.error(&id, err),
                     outcome => {
-                        *ok += 1;
+                        self.ok += 1;
                         let s = &result.stats;
-                        writeln!(
-                            out,
+                        self.write_line(format_args!(
                             "{id} ok outcome={} atoms={} derived={} nulls={} rounds={} \
-                             wall_us={} wait_us={}",
+                             wall_us={} wait_us={} parse_us={parse_us}",
                             outcome.name(),
                             result.instance.len(),
                             s.atoms_created,
@@ -593,12 +645,24 @@ fn flush_ready<W: std::io::Write>(
                             s.rounds,
                             (s.wall_secs * 1e6) as u64,
                             (s.sched_wait_secs * 1e6) as u64,
-                        )?;
+                        ))
                     }
                 }
             }
         }
-        out.flush()?;
+    }
+
+    fn error(&mut self, id: &str, msg: &dyn std::fmt::Display) -> std::io::Result<()> {
+        self.errors += 1;
+        self.write_line(format_args!("{id} error {msg}"))
+    }
+
+    /// Writes `line` and its newline in one write, then flushes.
+    fn write_line(&mut self, line: std::fmt::Arguments<'_>) -> std::io::Result<()> {
+        self.line.clear();
+        let _ = writeln!(self.line, "{line}");
+        self.out.write_all(self.line.as_bytes())?;
+        self.out.flush()
     }
 }
 
@@ -803,6 +867,9 @@ pub fn cmd_query(
 mod tests {
     use super::*;
     use nuchase_model::parse_program;
+    use std::io::{self, Read, Write};
+    use std::sync::{Arc, Condvar, Mutex};
+    use std::time::{Duration, Instant};
 
     fn program(text: &str) -> Program {
         parse_program(text).unwrap()
@@ -1067,6 +1134,188 @@ mod tests {
             solo.instance.len()
         );
         assert!(solo.terminated(), "sanity: solo ran to termination");
+    }
+
+    #[test]
+    fn serve_keeps_request_order_around_late_errors() {
+        // The bad line arrives after the writer thread took over.
+        let (out, ok, errors) = serve_text(
+            "e(a, b).\ne(X, Y) -> p(X).",
+            "t1\nt2 e(b, c).\nbad e(unclosed\nt4 e(c, d).\n",
+            2,
+        );
+        assert_eq!((ok, errors), (3, 1), "{out}");
+        let heads: Vec<String> = out
+            .lines()
+            .map(|l| l.split_whitespace().take(2).collect::<Vec<_>>().join(" "))
+            .collect();
+        assert_eq!(
+            heads,
+            ["t1 ok", "t2 ok", "bad error", "t4 ok", "served 4"],
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn serve_ok_responses_are_key_value_pairs() {
+        let (out, ok, _) = serve_text("e(a, b).\ne(X, Y) -> p(X).", "t1 e(b, c).\n", 0);
+        assert_eq!(ok, 1, "{out}");
+        let line = out.lines().next().unwrap();
+        let fields = line.strip_prefix("t1 ok ").expect(line);
+        assert!(fields.starts_with("outcome=terminated "), "{line}");
+        let keys: Vec<&str> = fields
+            .split_whitespace()
+            .map(|kv| kv.split_once('=').expect(kv).0)
+            .collect();
+        assert_eq!(
+            keys,
+            ["outcome", "atoms", "derived", "nulls", "rounds", "wall_us", "wait_us", "parse_us"],
+            "{line}"
+        );
+    }
+
+    /// Everything `serve_batch` has written, shared with the input of a
+    /// closed-loop client so it can wait for responses.
+    #[derive(Clone, Default)]
+    struct Written(Arc<(Mutex<Vec<u8>>, Condvar)>);
+
+    impl Written {
+        fn text(&self) -> String {
+            String::from_utf8(self.0 .0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    impl Write for Written {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let (bytes, wrote) = &*self.0;
+            bytes.lock().unwrap().extend_from_slice(buf);
+            wrote.notify_all();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A client that sends request line k + 1 only once it has read k
+    /// responses, as one that waits for each answer does. It gives up
+    /// after 5 s with [`io::ErrorKind::TimedOut`]. Each `read` sends one
+    /// line, so a `BufReader` over it reads no further ahead.
+    struct ClosedLoopClient {
+        lines: std::vec::IntoIter<String>,
+        sent: usize,
+        responses: Written,
+    }
+
+    impl Read for ClosedLoopClient {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some(line) = self.lines.next() else {
+                return Ok(0);
+            };
+            let k = self.sent;
+            let newlines = |b: &Vec<u8>| b.iter().filter(|&&c| c == b'\n').count();
+            let (bytes, wrote) = &*self.responses.0;
+            let (bytes, waited) = wrote
+                .wait_timeout_while(bytes.lock().unwrap(), Duration::from_secs(5), |b| {
+                    newlines(b) < k
+                })
+                .unwrap();
+            if waited.timed_out() {
+                let msg = format!("response {k} never came ({} written)", newlines(&bytes));
+                return Err(io::Error::new(io::ErrorKind::TimedOut, msg));
+            }
+            self.sent += 1;
+            buf[..line.len()].copy_from_slice(line.as_bytes());
+            Ok(line.len())
+        }
+    }
+
+    #[test]
+    fn serve_answers_a_closed_loop_client() {
+        let mut p = program("e(a, b).\ne(X, Y), e(Y, Z) -> e(X, Z).");
+        let prepared = PreparedProgram::compile(p.tgds.clone());
+        let engine = Engine::builder()
+            .budget(ChaseBudget::atoms(100_000))
+            .threads(2)
+            .build();
+        let written = Written::default();
+        let input = io::BufReader::new(ClosedLoopClient {
+            lines: (0..4)
+                .map(|k| format!("t{k} e(b, c{k}).\n"))
+                .collect::<Vec<_>>()
+                .into_iter(),
+            sent: 0,
+            responses: written.clone(),
+        });
+        let served = serve_batch(&mut p, &engine, &prepared, input, &mut written.clone())
+            .map_err(|e| e.to_string());
+        let out = written.text();
+        assert_eq!(served, Ok((4, 0)), "{out}");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 5, "{out}");
+        for (k, line) in lines[..4].iter().enumerate() {
+            assert!(
+                line.starts_with(&format!("t{k} ok outcome=terminated atoms=3 ")),
+                "{out}"
+            );
+        }
+        assert_eq!(lines[4], "served 4 ok 4 error 0", "{out}");
+    }
+
+    /// Output that takes `lines` lines, then fails every write.
+    struct FailingOutput {
+        lines: usize,
+    }
+
+    impl Write for FailingOutput {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.lines == 0 {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "client gone"));
+            }
+            let newlines = buf.iter().filter(|&&b| b == b'\n').count();
+            self.lines = self.lines.saturating_sub(newlines);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// An endless stream of `t` requests that gives up after 5 s.
+    struct EndlessRequests(Instant);
+
+    impl Read for EndlessRequests {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.0.elapsed() > Duration::from_secs(5) {
+                let msg = "the reader kept reading after its writer failed";
+                return Err(io::Error::new(io::ErrorKind::TimedOut, msg));
+            }
+            buf[..2].copy_from_slice(b"t\n");
+            Ok(2)
+        }
+    }
+
+    #[test]
+    fn serve_stops_reading_when_a_write_fails() {
+        let mut p = program("e(a, b).\ne(X, Y) -> p(X).");
+        let prepared = PreparedProgram::compile(p.tgds.clone());
+        let engine = Engine::builder()
+            .budget(ChaseBudget::atoms(100_000))
+            .threads(2)
+            .build();
+        let input = io::BufReader::new(EndlessRequests(Instant::now()));
+        let err = serve_batch(
+            &mut p,
+            &engine,
+            &prepared,
+            input,
+            &mut FailingOutput { lines: 2 },
+        )
+        .unwrap_err();
+        let kind = err.downcast_ref::<io::Error>().map(io::Error::kind);
+        assert_eq!(kind, Some(io::ErrorKind::BrokenPipe), "{err}");
     }
 
     #[test]

@@ -734,6 +734,11 @@ impl<T: Copy> SpillArena<T> {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that set `NUCHASE_INSTANCE_SPILL_DIR`: the
+    /// variable is process-global, and one test's value must not leak
+    /// into another's chunk allocations.
+    static SPILL_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn push_slice_pads_instead_of_straddling() {
         let mut a: ChunkedArena<u32> = ChunkedArena::with_chunk_len(8, 0);
@@ -861,6 +866,7 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn file_backed_chunks_round_trip() {
+        let _env = SPILL_ENV.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("nuchase-spill-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::env::set_var("NUCHASE_INSTANCE_SPILL_DIR", &dir);
@@ -886,6 +892,7 @@ mod tests {
 
     #[test]
     fn malformed_spill_dir_falls_back_to_heap() {
+        let _env = SPILL_ENV.lock().unwrap_or_else(|e| e.into_inner());
         std::env::set_var(
             "NUCHASE_INSTANCE_SPILL_DIR",
             "/nonexistent/nuchase-no-such-dir",
