@@ -1,25 +1,12 @@
 //! The experiment harness: regenerates every experiment table of
-//! `EXPERIMENTS.md` (one per quantitative theorem of the paper), plus the
-//! chase performance benchmark.
+//! `EXPERIMENTS.md` (one per quantitative theorem of the paper, plus the
+//! telemetry-overhead check `e14`). The engine's speed is measured by
+//! the separate `chasebench` package at the workspace root.
 //!
 //! ```text
 //! cargo run --release -p nuchase-bench --bin harness                 # all
 //! cargo run --release -p nuchase-bench --bin harness -- e02 e10      # subset
 //! cargo run --release -p nuchase-bench --bin harness -- --list
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-chase [out.json]
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-chase-quick [out.json]
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-parallel [out.json]
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-parallel-quick [out.json]
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-prepared [out.json]
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-prepared-quick [out.json]
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-serve [out.json]
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-serve-quick [out.json]
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-wide
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-wide-quick
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-huge
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-huge-quick
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-locality
-//! cargo run --release -p nuchase-bench --bin harness -- --bench-locality-quick
 //! ```
 
 use std::time::Instant;
@@ -32,147 +19,6 @@ fn main() {
         for (id, _) in &experiments {
             println!("{id}");
         }
-        return;
-    }
-
-    if let Some(pos) = args
-        .iter()
-        .position(|a| a == "--bench-chase" || a == "--bench-chase-quick")
-    {
-        let quick = args[pos] == "--bench-chase-quick";
-        let out_path = args.get(pos + 1).map(String::as_str).unwrap_or(if quick {
-            "BENCH_chase_smoke.json"
-        } else {
-            "BENCH_chase.json"
-        });
-        println!(
-            "chase performance harness: seed baseline vs staged pipeline vs fused micro-rounds\n"
-        );
-        // Best-of-7 (the spend cap in `best_of` still clamps the slow
-        // seed-baseline workloads): these chain rounds are ~50 ms a run
-        // on a noisy container, so 3 samples under-estimate the floor.
-        let rows = nuchase_bench::perf::run_chase_bench(if quick { 1 } else { 7 }, quick);
-        print!("{}", nuchase_bench::perf::chase_bench_table(&rows));
-        // The beyond-RAM sweep rides along (spill tier engaged, heap
-        // ceiling asserted inside) so BENCH_chase.json carries its rows.
-        let huge = nuchase_bench::perf::run_huge_bench(quick);
-        print!("\n{}", nuchase_bench::perf::huge_bench_table(&huge));
-        let json = nuchase_bench::perf::chase_bench_json(&rows, &huge);
-        std::fs::write(out_path, json).expect("write bench json");
-        println!("\nwrote {out_path}");
-        return;
-    }
-
-    if let Some(pos) = args
-        .iter()
-        .position(|a| a == "--bench-huge" || a == "--bench-huge-quick")
-    {
-        let quick = args[pos] == "--bench-huge-quick";
-        println!(
-            "beyond-RAM chase smoke: chunked instances with the file-backed spill tier engaged\n\
-             (completion and the peak-heap ceiling asserted; \
-             NUCHASE_HUGE_CEILING_BYTES overrides the bound)\n"
-        );
-        let rows = nuchase_bench::perf::run_huge_bench(quick);
-        print!("{}", nuchase_bench::perf::huge_bench_table(&rows));
-        println!("\nhuge-workload smoke OK: every run stayed under its heap ceiling");
-        return;
-    }
-
-    if let Some(pos) = args
-        .iter()
-        .position(|a| a == "--bench-locality" || a == "--bench-locality-quick")
-    {
-        let quick = args[pos] == "--bench-locality-quick";
-        println!(
-            "memory-locality comparison: pre-locality-tier linear probe layout vs\n\
-             cache-line-bucketized layout, interleaved pairs in one process\n\
-             (full run asserts the successor_chain_3m >=0.75x no-regression bar;\n\
-             see EXPERIMENTS.md for why this container's 260 MiB L3 caps the ratio)\n"
-        );
-        let rows = nuchase_bench::perf::run_locality_bench(if quick { 3 } else { 9 }, quick);
-        print!("{}", nuchase_bench::perf::locality_bench_table(&rows));
-        println!("\nlocality comparison OK");
-        return;
-    }
-
-    if let Some(pos) = args
-        .iter()
-        .position(|a| a == "--bench-parallel" || a == "--bench-parallel-quick")
-    {
-        let quick = args[pos] == "--bench-parallel-quick";
-        let out_path = args
-            .get(pos + 1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_parallel.json");
-        println!(
-            "parallel chase executor: thread scaling curve ({} parallelism available)\n",
-            nuchase_engine::auto_threads()
-        );
-        let rows = nuchase_bench::perf::run_parallel_bench(if quick { 1 } else { 3 }, quick);
-        print!("{}", nuchase_bench::perf::parallel_bench_table(&rows));
-        let json = nuchase_bench::perf::parallel_bench_json(&rows);
-        std::fs::write(out_path, json).expect("write bench json");
-        println!("\nwrote {out_path}");
-        return;
-    }
-
-    if let Some(pos) = args
-        .iter()
-        .position(|a| a == "--bench-prepared" || a == "--bench-prepared-quick")
-    {
-        let quick = args[pos] == "--bench-prepared-quick";
-        let out_path = args
-            .get(pos + 1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_prepared.json");
-        println!(
-            "prepared-program harness: N small tenant databases x one compiled Sigma\n\
-             (cold = compile+engine per chase, prepared = program reuse, warm = program+engine reuse)\n"
-        );
-        let rows = nuchase_bench::perf::run_prepared_bench(if quick { 1 } else { 5 }, quick);
-        print!("{}", nuchase_bench::perf::prepared_bench_table(&rows));
-        let json = nuchase_bench::perf::prepared_bench_json(&rows);
-        std::fs::write(out_path, json).expect("write bench json");
-        println!("\nwrote {out_path}");
-        return;
-    }
-
-    if let Some(pos) = args
-        .iter()
-        .position(|a| a == "--bench-serve" || a == "--bench-serve-quick")
-    {
-        let quick = args[pos] == "--bench-serve-quick";
-        let out_path = args
-            .get(pos + 1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_serve.json");
-        println!(
-            "serve-facade harness: N concurrent sessions via Engine::submit vs the gated\n\
-             blocking-chase loop, mixed fast/slow tenants, one shared scheduler\n\
-             (result identity spot-checked; full runs assert the >=0.9x throughput and\n\
-             <=2x fast-tenant execution-dilation bars)\n"
-        );
-        let row = nuchase_bench::perf::run_serve_bench(if quick { 1 } else { 5 }, quick);
-        print!("{}", nuchase_bench::perf::serve_bench_table(&row));
-        let json = nuchase_bench::perf::serve_bench_json(&row);
-        std::fs::write(out_path, json).expect("write bench json");
-        println!("\nwrote {out_path}");
-        return;
-    }
-
-    if let Some(pos) = args
-        .iter()
-        .position(|a| a == "--bench-wide" || a == "--bench-wide-quick")
-    {
-        let quick = args[pos] == "--bench-wide-quick";
-        println!(
-            "wide-round enumeration smoke: per-trigger search vs forced columnar batches\n\
-             (result identity, trigger counters, and probe/emit timer accounting asserted)\n"
-        );
-        let rows = nuchase_bench::perf::run_wide_bench(if quick { 1 } else { 5 }, quick);
-        print!("{}", nuchase_bench::perf::wide_bench_table(&rows));
-        println!("\nwide-round smoke OK: batch path byte-identical on every workload");
         return;
     }
 

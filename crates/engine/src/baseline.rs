@@ -1,4 +1,4 @@
-//! The pre-optimization chase, preserved as a measurable baseline.
+//! The pre-optimization chase, preserved as an independent reference.
 //!
 //! This module keeps the *seed* implementation of the semi-oblivious
 //! chase alive — per-pivot pattern clones, a fresh trail `Vec` per
@@ -7,10 +7,9 @@
 //! the allocation profile the compiled-plan engine removed. It serves two
 //! purposes:
 //!
-//! 1. **Honest before/after numbers.** The bench harness
-//!    (`cargo run -p nuchase-bench --bin harness -- --bench-chase`) runs
-//!    the same workloads through both engines and records the speedup in
-//!    `BENCH_chase.json`.
+//! 1. **The benchmark's expected results.** The `chasebench` package at
+//!    the workspace root checks every `chain` and `wide` result against
+//!    this engine's atom count and atom-set digest.
 //! 2. **Differential testing.** The integration tests assert that both
 //!    engines produce identical instances (atom sets, null counts, trigger
 //!    counts) on random programs.

@@ -258,8 +258,8 @@ pub enum ChaseOutcome {
 
 impl ChaseOutcome {
     /// A stable lowercase token for the outcome — what the `serve`
-    /// protocol and the bench harness print (`Failed` carries its typed
-    /// error separately; this names only the variant).
+    /// protocol prints (`Failed` carries its typed error separately;
+    /// this names only the variant).
     pub fn name(&self) -> &'static str {
         match self {
             ChaseOutcome::Terminated => "terminated",
@@ -472,8 +472,7 @@ impl ChaseStats {
     /// enumerate 62.1% (probe 55.0% + emit 7.1%) · dedup 3.0% · resolve
     /// 20.1% · commit 10.2%` — what makes a speedup (or its absence)
     /// attributable to a phase. `probe` and `emit` partition
-    /// `enumerate_secs` (the inputs of the bench harness's
-    /// `batch_speedup`), `resolve` and `commit` partition `apply_secs`;
+    /// `enumerate_secs`, `resolve` and `commit` partition `apply_secs`;
     /// only `commit` (plus `dedup`) is inherently serial, and fused
     /// micro-rounds land entirely in `commit`. Runs that shared phases
     /// with helpers append their ` · pool` bookkeeping share.

@@ -12,14 +12,11 @@
 //! |---|---|---|
 //! | `NUCHASE_FORCE_PIPELINE` | `1`/`true`, `0`/`false` | Forces the staged pipeline apply path on (`1`) or the fused micro-round path (`0`); unset = auto per round. |
 //! | `NUCHASE_FORCE_BATCH_ENUM` | `1`/`true`, `0`/`false` | Forces columnar batch enumeration on (`1`) or off (`0`) for non-fused rounds; unset = auto by delta width. |
-//! | `NUCHASE_FORCE_BUCKET_LAYOUT` | `1`/`true`, `0`/`false` | Probe-table layout: cache-line-bucketized open addressing (`1`, the default) or the pre-bucketization linear layout (`0`). Parsed in `model::hash` (resolved once per process). |
 //! | `NUCHASE_THREADS` | integer or `auto` | Default `--threads` for the CLI: execution lanes, where `N ≥ 2` lets scheduler helpers drain wide rounds alongside the calling thread (`0`/`1` = the calling thread alone; `auto` = all cores). |
 //! | `NUCHASE_TELEMETRY` | `off`, `counters`, `full` | Telemetry level when the config leaves it `Off`. |
-//! | `NUCHASE_TELEMETRY_RING` | integer | Round-event ring capacity (default 4096). |
-//! | `NUCHASE_TELEMETRY_STRIDE` | integer | Fixed round-sampling stride (default: auto-doubling). |
-//! | `NUCHASE_INSTANCE_SPILL_DIR` | directory path | When set, new arena chunks (instance term pool, postings spill, fired-set tuples) are file-backed `mmap`s in this directory, so instances grow past RAM with bounded RSS. Parsed in `model::chunk`: backing is checked per chunk allocation, the arena-sizing decision it feeds is sampled once at the first arena creation (`set_spill_chunking` overrides in-process). |
+//! | `NUCHASE_TELEMETRY_RING` | integer ≥ 2 | Round-event ring capacity (default 4096; smaller values read as 2). |
+//! | `NUCHASE_INSTANCE_SPILL_DIR` | directory path | When set, new arena chunks (instance term pool, postings spill, fired-set tuples) are file-backed `mmap`s in this directory, so instances grow past RAM with bounded RSS. Parsed in `model::chunk`: backing is checked per chunk allocation, the arena-sizing decision it feeds is sampled once at the first arena creation. |
 //! | `NUCHASE_CHUNK_LEN` | power-of-two integer ≥ 64 | Arena chunk length in elements (default adaptive: 4096 in-memory, 65536 under the spill tier). Parsed in `model::chunk`, resolved once per process. |
-//! | `NUCHASE_HUGE_CEILING_BYTES` | integer | Peak-instance-bytes ceiling asserted by the `--bench-huge` workloads (parsed by the bench harness). |
 //! | `NUCHASE_SCHED_QUANTUM_US` | integer (µs, default 500) | Job slice quantum for submitted (non-blocking) chases: a job that exceeds it is requeued at the next round boundary so queued jobs interleave fairly. Resolved once per scheduler (engine) construction. |
 //! | `NUCHASE_FAULT_PLAN` | `site:nth[:panic][,..]` | Deterministic fault injection: arm the `nth` (0-based) hit of each named site (`arena_grow`, `spill_map`, `spill_transient`, `table_grow`, `worker_task`, `commit`, `sched_unit`, `sched_job`) to fail; the `:panic` flavor unwinds with a plain panic (simulated bug) instead of the typed fault. An explicit `ChaseConfig::fault_plan` wins over the environment. |
 //! | `NUCHASE_MEMORY_LIMIT_BYTES` | integer | Instance heap ceiling checked at round boundaries when `ChaseBudget::max_heap_bytes` is unset; hitting it returns a resumable `ChaseOutcome::MemoryLimit`. |

@@ -38,6 +38,16 @@ use nuchase_model::Term;
 /// through a tuple range).
 const PAD_TERM: Term = Term::Const(nuchase_model::ConstId(0));
 
+/// Row indexes of a batch binned per partition, in row order within
+/// each bin.
+fn bins(hashes: &[u64]) -> [Vec<u32>; PARTITIONS] {
+    let mut bins: [Vec<u32>; PARTITIONS] = Default::default();
+    for (i, &h) in hashes.iter().enumerate() {
+        bins[part(h)].push(i as u32);
+    }
+    bins
+}
+
 /// A grow-only set of term tuples with in-place hashing and arena
 /// storage. Tuples of different lengths may coexist. The index is a set
 /// of hash-partitioned [`TagTable`]s, so a probe touches a single cache
@@ -140,15 +150,6 @@ impl TermTupleSet {
     #[inline]
     pub fn prefetch(&self, hash: u64) {
         self.tables[part(hash)].prefetch(hash);
-    }
-
-    /// Was this set created with the cache-line-bucketized table layout?
-    /// `false` means `NUCHASE_FORCE_BUCKET_LAYOUT=0` reverted the
-    /// memory-locality tier, and the batch entry points degrade to their
-    /// pre-tier sequential form so the revert is a faithful baseline.
-    #[inline]
-    pub fn bucketized(&self) -> bool {
-        self.tables[0].layout() == nuchase_model::hash::TableLayout::Bucketized
     }
 
     /// Empties the set, keeping the tables and arena allocations — the
@@ -273,23 +274,7 @@ impl TermTupleSet {
         debug_assert_eq!(tuples.len(), n * width);
         accepted.clear();
         accepted.resize(n, false);
-        if !self.bucketized() {
-            // Pre-tier form: sequential rows with the distance-k
-            // prefetch the three-pass emit always had, no binning.
-            for i in 0..n {
-                if let Some(&h) = hashes.get(i + PREFETCH_DIST) {
-                    self.prefetch(h);
-                }
-                let row = &tuples[i * width..(i + 1) * width];
-                accepted[i] = self.insert_hashed(row, hashes[i]);
-            }
-            return n;
-        }
-        let mut bins: [Vec<u32>; PARTITIONS] = Default::default();
-        for (i, &h) in hashes.iter().enumerate() {
-            bins[part(h)].push(i as u32);
-        }
-        for bin in &bins {
+        for bin in &bins(hashes) {
             for (k, &i) in bin.iter().enumerate() {
                 if let Some(&j) = bin.get(k + PREFETCH_DIST) {
                     self.prefetch(hashes[j as usize]);
@@ -316,21 +301,7 @@ impl TermTupleSet {
         debug_assert_eq!(tuples.len(), n * width);
         present.clear();
         present.resize(n, false);
-        if !self.bucketized() {
-            for i in 0..n {
-                if let Some(&h) = hashes.get(i + PREFETCH_DIST) {
-                    self.prefetch(h);
-                }
-                let row = &tuples[i * width..(i + 1) * width];
-                present[i] = self.contains_hashed(row, hashes[i]);
-            }
-            return n;
-        }
-        let mut bins: [Vec<u32>; PARTITIONS] = Default::default();
-        for (i, &h) in hashes.iter().enumerate() {
-            bins[part(h)].push(i as u32);
-        }
-        for bin in &bins {
+        for bin in &bins(hashes) {
             for (k, &i) in bin.iter().enumerate() {
                 if let Some(&j) = bin.get(k + PREFETCH_DIST) {
                     self.prefetch(hashes[j as usize]);

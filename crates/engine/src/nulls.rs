@@ -153,15 +153,8 @@ impl NullStore {
     /// `(rule, var, image_hash)` would probe — issued by the fused chain
     /// path right after the trigger key is hashed, so this miss overlaps
     /// the fired-set probe instead of serializing behind it.
-    /// A no-op when the store was created with the linear (pre-tier)
-    /// table layout, so `NUCHASE_FORCE_BUCKET_LAYOUT=0` reverts the
-    /// whole memory-locality tier as a faithful baseline.
     #[inline]
     pub fn prefetch_intern(&self, rule: RuleId, var: VarId, image_hash: u64) {
-        use nuchase_model::hash::TableLayout;
-        if self.tables[0].layout() != TableLayout::Bucketized {
-            return;
-        }
         let hash = hash_parts_prehashed(image_hash, rule, var);
         self.tables[partition(hash)].prefetch(hash);
     }

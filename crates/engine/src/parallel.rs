@@ -211,9 +211,8 @@ mod tests {
     fn concurrent_pooled_chases_on_one_engine_stay_identical() {
         // Concurrent sessions share the scheduler board instead of
         // queueing at a gate: runs interleave freely and every result
-        // stays byte-identical. (Latency bounds are pinned by
-        // `--bench-serve`; identity across wide concurrent rounds by
-        // `tests/concurrent_sessions.rs`.)
+        // stays byte-identical. (Identity across wide concurrent rounds
+        // is pinned by `tests/concurrent_sessions.rs`.)
         use crate::session::{Engine, PreparedProgram};
         let p = parse_program(
             "e(a, b).\ne(b, c).\ne(c, d).\ne(X, Y), e(Y, Z) -> e(X, Z).\ne(X, Y) -> p(X, W).",

@@ -1832,15 +1832,6 @@ pub fn fused_chain_round(
     let mut any = false;
     let mut stopped: Option<ChaseOutcome> = None;
     let timed = state.sample_rule_timing();
-    // Cross-round software pipelining: the atoms a chain trigger creates
-    // ARE the next round's delta window, so their trigger keys — and
-    // the fired-set / null-intern lines those keys will probe — are
-    // computable a full round ahead. Issuing the prefetches here gives
-    // the misses the whole remaining round (bookkeeping, window
-    // patching, budget checks) of distance instead of the few
-    // nanoseconds the in-round queue manages. Off with the linear
-    // layout: `NUCHASE_FORCE_BUCKET_LAYOUT=0` reverts the whole tier.
-    let pipelined = fired.first().is_some_and(|f| f.bucketized());
     for (rule, tgd) in tgds.iter() {
         let rule_mark = timed.then(Instant::now);
         let mut rule_considered = 0usize;
@@ -1906,7 +1897,14 @@ pub fn fused_chain_round(
             any = true;
             let created_from = instance.len() as AtomIdx;
             stopped = fire_trigger(config, instance, state, ws, rule, tgd, Some(khash), stats);
-            if pipelined && stopped.is_none() {
+            // Cross-round software pipelining: the atoms a chain trigger
+            // creates ARE the next round's delta window, so their trigger
+            // keys — and the fired-set / null-intern lines those keys
+            // will probe — are computable a full round ahead. Issuing the
+            // prefetches here gives the misses the whole remaining round
+            // (bookkeeping, window patching, budget checks) of distance
+            // instead of the few nanoseconds the in-round queue manages.
+            if stopped.is_none() {
                 prefetch_next_chain_round(
                     tgds,
                     config,

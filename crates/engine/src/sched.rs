@@ -26,10 +26,10 @@
 //!   fast ones behind it. A job slice runs the same round loop, without
 //!   helpers. The caller holds a [`JobHandle`] and collects the
 //!   [`ChaseResult`] whenever it is ready.
-//! * **Recycled buffers** — job sessions check their fired-sets +
-//!   [`RoundDriver`] out of a scheduler-wide cache (mirroring the
-//!   engine's per-session spare stack), so a warm scheduler serves a
-//!   small tenant without allocating its arenas.
+//! * **Recycled buffers** — jobs check their fired sets +
+//!   [`RoundDriver`] out of the engine's spare stack, the one its
+//!   blocking sessions use, so a warm engine serves a small tenant
+//!   without allocating its arenas.
 //!
 //! # Phase protocol
 //!
@@ -92,7 +92,7 @@ use crate::phase::{
     enumerate_task, enumerate_task_batch, resolve_range, ApplyState, ResolvedBatch, RoundCtx,
     RoundDriver, Task, TriggerBatch, WorkerScratch,
 };
-use crate::session::{Lanes, PreparedProgram, RunCtl, SessionCore};
+use crate::session::{Lanes, PreparedProgram, RunCtl, SessionCore, SpareParts};
 
 /// The worker count `--threads auto` resolves to: the machine's
 /// available parallelism (1 if it cannot be determined).
@@ -138,10 +138,6 @@ const PHASE_EPOCH_SHIFT: u32 = 2;
 /// Accepted triggers per resolve-phase work unit. Like [`Task`] windows,
 /// a pure function of the round — never of the worker count.
 const RESOLVE_CHUNK: u32 = 256;
-
-/// Cap on the scheduler's recycled job-parts stack (fired sets +
-/// [`RoundDriver`] per entry), mirroring the engine's session spare cap.
-const JOB_PARTS_MAX: usize = 8;
 
 /// The round state a coordinator lends to its [`RunShared`] for one
 /// sharded phase ([`Lend`]). Lives behind one `RwLock`: helpers hold
@@ -963,19 +959,11 @@ impl PendingJob {
     }
 
     /// Builds the full session state, checking buffers out of the
-    /// scheduler's recycle cache. The driver is re-armed by
+    /// engine's recycle stack. The driver is re-armed by
     /// [`Job::slice`]'s own `restart`, so none of this touches the
     /// clock or the run's timing.
     fn materialize(self, inner: &SchedInner) -> Job {
-        let parts = inner.parts.lock().unwrap_or_else(|e| e.into_inner()).pop();
-        let (mut fired, driver) = match parts {
-            Some(parts) => parts,
-            None => (
-                Vec::new(),
-                RoundDriver::new(&self.config, self.program.tgds()),
-            ),
-        };
-        fired.resize_with(self.program.rule_count(), TermTupleSet::new);
+        let (fired, driver) = inner.parts.take(&self.config, &self.program);
         let database = Self::claim_database(self.database);
         let base_atoms = database.len();
         Job {
@@ -1097,9 +1085,9 @@ impl Job {
     }
 
     /// Completes the job: builds the [`ChaseResult`] (mirroring
-    /// `ChaseSession::finish`), recycles the buffers into the
-    /// scheduler's parts cache (never after a failure — a panic may
-    /// have left them mid-write), and fills the handle's slot.
+    /// `ChaseSession::finish`), recycles the buffers into the engine's
+    /// recycle stack (never after a failure — a panic may have left
+    /// them mid-write), and fills the handle's slot.
     fn finalize(self, outcome: ChaseOutcome, inner: &SchedInner) {
         let Job {
             core,
@@ -1113,12 +1101,7 @@ impl Job {
         stats.nulls_created = core.apply.nulls.len();
         let telemetry = core.apply.telemetry_snapshot(&stats).map(Box::new);
         if !matches!(outcome, ChaseOutcome::Failed(_)) {
-            let mut parts = inner.parts.lock().unwrap_or_else(|e| e.into_inner());
-            if parts.len() < JOB_PARTS_MAX {
-                let mut fired = core.fired;
-                fired.iter_mut().for_each(TermTupleSet::clear);
-                parts.push((fired, driver));
-            }
+            inner.parts.store(core.fired, driver);
         }
         let result = ChaseResult {
             instance: core.instance,
@@ -1179,8 +1162,9 @@ struct SchedInner {
     /// Job slice quantum (`NUCHASE_SCHED_QUANTUM_US`, default 500µs),
     /// resolved once at scheduler construction.
     quantum: Duration,
-    /// Recycled job buffers: fired sets + [`RoundDriver`] per entry.
-    parts: Mutex<Vec<(Vec<TermTupleSet>, RoundDriver)>>,
+    /// The owning engine's recycled buffers, which jobs share with its
+    /// blocking sessions.
+    parts: Arc<SpareParts>,
 }
 
 /// The engine-wide scheduler: a persistent pool of worker threads
@@ -1196,8 +1180,9 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// Spawns `workers` parked threads serving `lanes` execution lanes.
-    pub(crate) fn new(workers: usize, lanes: usize) -> Self {
+    /// Spawns `workers` parked threads serving `lanes` execution lanes;
+    /// jobs recycle their buffers through `parts`.
+    pub(crate) fn new(workers: usize, lanes: usize, parts: Arc<SpareParts>) -> Self {
         let quantum = Duration::from_micros(crate::config::env_usize_or(
             "NUCHASE_SCHED_QUANTUM_US",
             500,
@@ -1210,7 +1195,7 @@ impl Scheduler {
             workers,
             lanes,
             quantum,
-            parts: Mutex::new(Vec::new()),
+            parts,
         });
         let handles = (0..workers)
             .map(|_| {

@@ -332,20 +332,55 @@ impl EngineBuilder {
     }
 }
 
-/// Recycled per-session buffers: the per-rule fired sets and the
-/// [`RoundDriver`] (trigger batch, apply buffers, task list; its worker
-/// scratch starts fresh — see [`Engine::store_parts`]). Handing these
-/// back on [`ChaseSession::finish`] is what spares a warm engine's
-/// per-chase setup its arena allocations.
-#[derive(Debug)]
-struct SessionParts {
-    fired: Vec<TermTupleSet>,
-    driver: RoundDriver,
-}
-
 /// Cap on the engine's recycled-buffer stack: enough for a handful of
 /// concurrently open sessions without hoarding arenas forever.
 const SPARE_PARTS_MAX: usize = 8;
+
+/// An engine's recycled per-chase buffers: the per-rule fired sets and
+/// the [`RoundDriver`] (trigger batch, apply buffers, task list) of
+/// finished chases. Blocking sessions and submitted jobs check buffers
+/// out of one stack and hand them back to it on completion, which is
+/// what spares a warm engine's per-chase setup its arena allocations.
+#[derive(Debug, Default)]
+pub(crate) struct SpareParts(Mutex<Vec<(Vec<TermTupleSet>, RoundDriver)>>);
+
+impl SpareParts {
+    /// Checks out a recycled (fired sets, driver) pair, or builds a
+    /// fresh one, with one fired set per rule of `program`. The caller
+    /// restarts the driver.
+    pub(crate) fn take(
+        &self,
+        config: &ChaseConfig,
+        program: &PreparedProgram,
+    ) -> (Vec<TermTupleSet>, RoundDriver) {
+        // Poison-tolerant lock: a panicked run elsewhere must not wedge
+        // every future chase of the engine (the stack holds only
+        // cleared buffers, and failed runs never store theirs).
+        let parts = self.0.lock().unwrap_or_else(|e| e.into_inner()).pop();
+        let (mut fired, driver) =
+            parts.unwrap_or_else(|| (Vec::new(), RoundDriver::new(config, program.tgds())));
+        fired.resize_with(program.rule_count(), TermTupleSet::new);
+        (fired, driver)
+    }
+
+    /// Returns a finished chase's buffers to the stack, cleared.
+    /// Callers must not offer buffers from a failed run: a panic may
+    /// have left them mid-write, and a recycled half-written buffer
+    /// would corrupt a *different* chase.
+    pub(crate) fn store(&self, mut fired: Vec<TermTupleSet>, mut driver: RoundDriver) {
+        let mut spare = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        if spare.len() < SPARE_PARTS_MAX {
+            fired.iter_mut().for_each(TermTupleSet::clear);
+            // The worker scratch is sized by the widest round the chase
+            // ran: a 200-edge transitive closure leaves about 4 MB of
+            // batch columns and dedup arena in it. Kept, that high-water
+            // mark stays resident for every later chase; re-grown, it
+            // costs a chase a handful of allocations.
+            driver.ws = WorkerScratch::new();
+            spare.push((fired, driver));
+        }
+    }
+}
 
 /// The chase execution engine: a [`ChaseConfig`] plus everything worth
 /// keeping *between* chases — a persistent shared scheduler
@@ -364,7 +399,8 @@ pub struct Engine {
     /// lazily on first [`Engine::submit`] otherwise (blocking runs on a
     /// `threads ≤ 1` engine never spawn a thread).
     sched: std::sync::OnceLock<Scheduler>,
-    spare: Mutex<Vec<SessionParts>>,
+    /// Recycled buffers, shared with the scheduler's job workers.
+    spare: Arc<SpareParts>,
 }
 
 impl Engine {
@@ -380,12 +416,14 @@ impl Engine {
         let engine = Engine {
             config: *config,
             sched: std::sync::OnceLock::new(),
-            spare: Mutex::new(Vec::new()),
+            spare: Arc::default(),
         };
         if config.threads >= 2 {
-            let _ = engine
-                .sched
-                .set(Scheduler::new(config.threads - 1, config.threads));
+            let _ = engine.sched.set(Scheduler::new(
+                config.threads - 1,
+                config.threads,
+                Arc::clone(&engine.spare),
+            ));
         }
         engine
     }
@@ -412,17 +450,7 @@ impl Engine {
         program: &'p PreparedProgram,
         database: Instance,
     ) -> ChaseSession<'e, 'p> {
-        // Poison-tolerant lock: a panicked run elsewhere must not wedge
-        // every future session of the engine (the spare stack holds only
-        // cleared buffers, and `store_parts` refuses failed runs' parts).
-        let parts = self.spare.lock().unwrap_or_else(|e| e.into_inner()).pop();
-        // Spare parts are stored clean (`Engine::store_parts` clears
-        // them), so only the per-program length needs adjusting here.
-        let (mut fired, mut driver) = match parts {
-            Some(SessionParts { fired, driver }) => (fired, driver),
-            None => (Vec::new(), RoundDriver::new(&self.config, program.tgds())),
-        };
-        fired.resize_with(program.rule_count(), TermTupleSet::new);
+        let (fired, mut driver) = self.spare.take(&self.config, program);
         driver.restart(&self.config, program.single_atom_bodies(), Instant::now());
         let base_atoms = database.len();
         ChaseSession {
@@ -469,25 +497,6 @@ impl Engine {
         session.finish()
     }
 
-    /// Returns a finished session's buffers to the recycle stack.
-    /// Callers must not offer buffers from a failed run —
-    /// [`ChaseSession::finish`] skips this for failed sessions, so a
-    /// mid-round panic can never leak half-written state into a future
-    /// session.
-    fn store_parts(&self, mut fired: Vec<TermTupleSet>, mut driver: RoundDriver) {
-        let mut spare = self.spare.lock().unwrap_or_else(|e| e.into_inner());
-        if spare.len() < SPARE_PARTS_MAX {
-            fired.iter_mut().for_each(TermTupleSet::clear);
-            // The worker scratch is sized by the widest round the chase
-            // ran: a 200-edge transitive closure leaves about 4 MB of
-            // batch columns and dedup arena in it. Kept, that high-water
-            // mark stays resident for every later chase; re-grown, it
-            // costs a chase a handful of allocations.
-            driver.ws = WorkerScratch::new();
-            spare.push(SessionParts { fired, driver });
-        }
-    }
-
     /// The shared scheduler, if one has been started (always, for
     /// `threads ≥ 2` engines).
     pub(crate) fn sched(&self) -> Option<&Scheduler> {
@@ -504,6 +513,7 @@ impl Engine {
             Scheduler::new(
                 self.config.threads.saturating_sub(1).max(1),
                 self.config.threads.max(1),
+                Arc::clone(&self.spare),
             )
         })
     }
@@ -1097,7 +1107,7 @@ impl ChaseSession<'_, '_> {
         // and a recycled half-written buffer would corrupt a *different*
         // session. Dropping them here is the isolation boundary.
         if !matches!(outcome, Some(ChaseOutcome::Failed(_))) {
-            engine.store_parts(core.fired, driver);
+            engine.spare.store(core.fired, driver);
         }
         ChaseResult {
             instance: core.instance,
@@ -1322,6 +1332,28 @@ mod tests {
             assert!(r.instance.indexed_eq(&reference.instance));
             assert_eq!(r.stats.rounds, reference.stats.rounds);
             assert_eq!(r.nulls.len(), reference.nulls.len());
+        }
+    }
+
+    /// A submitted job hands its buffers back to the engine's one spare
+    /// stack under the sessions' policy: a wide chase's worker scratch
+    /// is dropped, not kept at its high-water mark.
+    #[test]
+    fn jobs_recycle_parts_without_worker_scratch() {
+        let mut text: String = (0..200)
+            .map(|i| format!("e(c{i}, c{}).\n", i + 1))
+            .collect();
+        text.push_str("e(X, Y), e(Y, Z) -> e(X, Z).");
+        let p = parse_program(&text).unwrap();
+        let program = PreparedProgram::compile(p.tgds);
+        let engine = Engine::builder().build();
+        let r = engine.submit(&program, &p.database).wait();
+        assert_eq!(r.instance.len(), 200 * 201 / 2);
+        let spare = engine.spare.0.lock().unwrap();
+        assert_eq!(spare.len(), 1, "the job's buffers were not recycled");
+        for (_, driver) in spare.iter() {
+            assert_eq!(driver.ws.dedup.heap_bytes(), 0, "dedup scratch kept");
+            assert_eq!(driver.ws.key_buf.capacity(), 0, "key scratch kept");
         }
     }
 

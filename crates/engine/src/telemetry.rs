@@ -20,14 +20,11 @@
 //!   phase splits (extra `Instant` reads on sampled rounds only).
 //!
 //! The per-round ring is bounded ([`Telemetry::ring_capacity`], env
-//! `NUCHASE_TELEMETRY_RING`) and strided. By default the stride
-//! **auto-adapts**: every round is recorded until the ring fills, then
-//! adjacent events are merged pairwise and the stride doubles — so a
-//! 100k-round chain chase keeps ~one ring of events *spanning the whole
-//! run*, and the per-round cost amortizes to a counter check on skipped
-//! rounds. Setting `NUCHASE_TELEMETRY_STRIDE` explicitly pins a fixed
-//! stride instead, with classic circular overwrite (the ring then holds
-//! the most recent window).
+//! `NUCHASE_TELEMETRY_RING`) and strided. The stride **auto-adapts**:
+//! every round is recorded until the ring fills, then adjacent events
+//! are merged pairwise and the stride doubles — so a 100k-round chain
+//! chase keeps ~one ring of events *spanning the whole run*, and the
+//! per-round cost amortizes to a counter check on skipped rounds.
 //!
 //! Snapshots ([`TelemetrySnapshot`], via
 //! [`ChaseSession::telemetry`](crate::ChaseSession::telemetry) or
@@ -198,15 +195,12 @@ pub struct Telemetry {
     rules: Vec<RuleTelemetry>,
     ring: Vec<RoundEvent>,
     ring_cap: usize,
-    head: usize,
+    // Doubles by pairwise-merging the ring whenever it fills, keeping
+    // whole-run coverage at amortized-flat cost.
     stride: usize,
     // Rounds left to skip before the next recorded event (a countdown,
     // not a modulo: the skip path must stay a compare + decrement).
     skip: usize,
-    // True (the default) when no explicit NUCHASE_TELEMETRY_STRIDE is
-    // set: the stride doubles by pairwise-merging the ring whenever it
-    // fills, keeping whole-run coverage at amortized-flat cost.
-    auto_stride: bool,
     rounds_seen: usize,
     // Offset added to recorded round numbers: sessions number rounds
     // per run slice, the ring stays monotonic across resumes.
@@ -221,20 +215,17 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Creates a collector at `level` (which must not be `Off`), reading
-    /// ring capacity and stride from the environment.
+    /// the ring capacity from the environment.
     pub fn new(level: TelemetryLevel) -> Self {
         debug_assert!(level.enabled());
-        let explicit_stride =
-            crate::config::env_usize("NUCHASE_TELEMETRY_STRIDE").map(|s| s.max(1));
         Telemetry {
             level,
             rules: Vec::new(),
             ring: Vec::new(),
-            ring_cap: env_usize("NUCHASE_TELEMETRY_RING", RING_CAPACITY).max(1),
-            head: 0,
-            stride: explicit_stride.unwrap_or(1),
+            // Two events at least, so merging a full ring frees a slot.
+            ring_cap: env_usize("NUCHASE_TELEMETRY_RING", RING_CAPACITY).max(2),
+            stride: 1,
             skip: 0,
-            auto_stride: explicit_stride.is_none(),
             rounds_seen: 0,
             round_base: 0,
             prev_considered: 0,
@@ -255,8 +246,8 @@ impl Telemetry {
         self.ring_cap
     }
 
-    /// The current round sampling stride (1 = record every round). In
-    /// auto-stride mode this grows as the run outlives the ring.
+    /// The current round sampling stride (1 = record every round). It
+    /// grows as the run outlives the ring.
     pub fn stride(&self) -> usize {
         self.stride
     }
@@ -362,22 +353,16 @@ impl Telemetry {
         self.prev_fired = stats.triggers_fired;
         self.prev_enum = stats.enumerate_secs;
         self.prev_apply = apply_now;
-        if self.ring.len() < self.ring_cap {
-            self.ring.push(ev);
-            if self.auto_stride && self.ring.len() == self.ring_cap && self.ring_cap > 1 {
-                self.restride();
-            }
-        } else {
-            self.ring[self.head] = ev;
-            self.head = (self.head + 1) % self.ring_cap;
+        self.ring.push(ev);
+        if self.ring.len() == self.ring_cap {
+            self.restride();
         }
     }
 
     /// Halves the ring by merging adjacent event pairs and doubles the
-    /// stride (auto-stride mode only; the ring is chronological there —
-    /// it never wraps). Flow fields sum across a merged pair, snapshot
-    /// fields keep the later event's values, so every sum invariant over
-    /// the ring survives decimation.
+    /// stride (the ring is chronological — it never wraps). Flow fields
+    /// sum across a merged pair, snapshot fields keep the later event's
+    /// values, so every sum invariant over the ring survives decimation.
     fn restride(&mut self) {
         let mut merged = Vec::with_capacity(self.ring_cap);
         let mut it = self.ring.drain(..);
@@ -411,19 +396,11 @@ impl Telemetry {
         for r in &mut rules {
             r.deduped = r.considered.saturating_sub(r.fired);
         }
-        // Unroll the ring into chronological order.
-        let mut rounds = Vec::with_capacity(self.ring.len());
-        if self.ring.len() == self.ring_cap {
-            rounds.extend_from_slice(&self.ring[self.head..]);
-            rounds.extend_from_slice(&self.ring[..self.head]);
-        } else {
-            rounds.extend_from_slice(&self.ring);
-        }
         TelemetrySnapshot {
             level: self.level,
             rules,
             rule_labels: Vec::new(),
-            rounds,
+            rounds: self.ring.clone(),
             rounds_seen: self.rounds_seen,
             stride: self.stride,
             stats: stats.clone(),
@@ -445,15 +422,13 @@ pub struct TelemetrySnapshot {
     /// callers that do — e.g. the CLI — fill these in). Missing or short
     /// entries fall back to `σ<i>`.
     pub rule_labels: Vec<String>,
-    /// Recorded round events, oldest first (at most the ring capacity).
-    /// Under the default auto-stride they span the whole run at adaptive
-    /// resolution; under an explicit `NUCHASE_TELEMETRY_STRIDE` they are
-    /// the most recent strided window.
+    /// Recorded round events, oldest first (fewer than the ring
+    /// capacity). They span the whole run at adaptive resolution.
     pub rounds: Vec<RoundEvent>,
     /// Total rounds observed (recorded, merged, or skipped).
     pub rounds_seen: usize,
-    /// Final sampling stride of the ring (auto-stride grows it as the
-    /// run outlives the ring capacity).
+    /// Final sampling stride of the ring (it grows as the run outlives
+    /// the ring capacity).
     pub stride: usize,
     /// Aggregate statistics of the run(s) this snapshot covers,
     /// including the memory accounting fields.
@@ -659,52 +634,9 @@ mod tests {
     }
 
     #[test]
-    fn ring_bounds_and_unrolls_in_order() {
-        // An explicit stride pins the classic circular window.
-        let mut t = Telemetry::new(TelemetryLevel::Counters);
-        t.ring_cap = 4;
-        t.auto_stride = false;
-        t.stride = 1;
-        t.skip = 0;
-        let mut stats = ChaseStats::default();
-        for round in 1..=10 {
-            stats.triggers_considered += 2;
-            stats.triggers_fired += 1;
-            t.record_round(round, RoundPath::Pipeline, 1, round, 0, &stats);
-        }
-        let snap = t.snapshot(&stats);
-        assert_eq!(snap.rounds_seen, 10);
-        let rounds: Vec<usize> = snap.rounds.iter().map(|e| e.round).collect();
-        assert_eq!(rounds, vec![7, 8, 9, 10], "most recent window, in order");
-        // Delta fields cover exactly one round each here.
-        assert!(snap
-            .rounds
-            .iter()
-            .all(|e| e.considered == 2 && e.fired == 1));
-    }
-
-    #[test]
-    fn stride_skips_rounds() {
-        let mut t = Telemetry::new(TelemetryLevel::Counters);
-        t.auto_stride = false;
-        t.stride = 3;
-        t.skip = 0;
-        let stats = ChaseStats::default();
-        for round in 1..=9 {
-            t.record_round(round, RoundPath::Fused, 1, round, 0, &stats);
-        }
-        let snap = t.snapshot(&stats);
-        let rounds: Vec<usize> = snap.rounds.iter().map(|e| e.round).collect();
-        assert_eq!(rounds, vec![1, 4, 7]);
-    }
-
-    #[test]
     fn auto_stride_decimates_and_preserves_flow_sums() {
         let mut t = Telemetry::new(TelemetryLevel::Counters);
         t.ring_cap = 4;
-        t.auto_stride = true;
-        t.stride = 1;
-        t.skip = 0;
         let mut stats = ChaseStats::default();
         let total_rounds = 100;
         for round in 1..=total_rounds {

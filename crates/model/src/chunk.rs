@@ -25,7 +25,7 @@
 //! drop), and graduates to a dedicated heap `Vec` once it outgrows a
 //! chunk.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Default chunk capacity in *elements* (a power of two). At the 8-byte
@@ -55,8 +55,7 @@ pub const SMALL_CHUNK_LEN: usize = 1 << 12;
 /// creation — this sits on the Instance-construction path of the serve
 /// regime (thousands of tiny tenant sessions per second), where
 /// per-creation `env::var` calls would contend on the process-global
-/// environment lock. In-process togglers use [`set_spill_chunking`]
-/// instead of `set_var`. Chunk length never changes the contents or
+/// environment lock. Chunk length never changes the contents or
 /// order of what an arena stores, only its padding layout, so this
 /// choice is invisible through the model API; clones keep their
 /// source's chunk length (the layout **is** the index space, so a clone
@@ -69,39 +68,11 @@ pub fn adaptive_chunk_len() -> usize {
     }
 }
 
-/// Programmatic override of the spill half of the sizing decision:
-/// 0 = follow the (cached) environment, 1 = forced off, 2 = forced on.
-static SPILL_CHUNKING: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the arena-sizing half of the spill knob in-process:
-/// `Some(true)` sizes new arenas as if `NUCHASE_INSTANCE_SPILL_DIR`
-/// were set at startup, `Some(false)` as if it were not, `None`
-/// restores the cached environment decision. For harnesses (the huge
-/// bench sweep) that engage the spill tier after the first arena
-/// already froze the environment read — chunk *backing* still follows
-/// the live environment per allocation, only sizing is cached.
-pub fn set_spill_chunking(mode: Option<bool>) {
-    let v = match mode {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    SPILL_CHUNKING.store(v, Ordering::Relaxed);
-}
-
 /// Is the spill tier on, for arena sizing? The environment is consulted
 /// once, at the first query (i.e. the first arena creation).
 fn spill_chunking() -> bool {
-    match SPILL_CHUNKING.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            static ENV: OnceLock<bool> = OnceLock::new();
-            *ENV.get_or_init(|| {
-                std::env::var("NUCHASE_INSTANCE_SPILL_DIR").is_ok_and(|d| !d.is_empty())
-            })
-        }
-    }
+    static ENV: OnceLock<bool> = OnceLock::new();
+    *ENV.get_or_init(|| std::env::var("NUCHASE_INSTANCE_SPILL_DIR").is_ok_and(|d| !d.is_empty()))
 }
 
 /// Chunk length resolved from `NUCHASE_CHUNK_LEN` (`None` when unset),

@@ -12,7 +12,6 @@
 //! resistance is irrelevant here.
 
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::symbols::PredId;
 use crate::term::Term;
@@ -58,30 +57,7 @@ pub fn hash_terms(terms: &[Term]) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Probe-order layouts of a [`TagTable`] (selectable per table; the
-/// process default is [`TableLayout::Bucketized`] unless the
-/// `NUCHASE_FORCE_BUCKET_LAYOUT` environment variable or
-/// [`set_table_layout`] says otherwise).
-///
-/// Both layouts store the same packed slots; only the traversal order
-/// differs, so the choice is unobservable through the table's API (the
-/// chase's byte-identity suites sweep it forced on and off to prove
-/// that).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableLayout {
-    /// Classic linear probing: start at `hash & mask`, step one slot at
-    /// a time. A probe that starts in the last lane of a cache line
-    /// pays a second line on the very next step.
-    Linear,
-    /// Cache-line-bucketized probing: the low hash bits pick a 64-byte
-    /// line (8 slots) and the probe scans all of its lanes before
-    /// moving to the next line, so a probe resolves within one line
-    /// unless that entire line is full.
-    Bucketized,
-}
-
-/// Slots per 64-byte cache line (the bucket width of
-/// [`TableLayout::Bucketized`]).
+/// Slots per 64-byte cache line (the bucket width of a [`TagTable`]).
 pub const LANES: usize = 8;
 
 /// The distance batched probes run their software prefetch ahead of the
@@ -106,58 +82,12 @@ pub fn partition(hash: u64) -> usize {
 }
 
 /// One 64-byte-aligned line of 8 packed slots. Alignment guarantees a
-/// bucketized probe touches exactly one cache line per bucket.
+/// probe touches exactly one cache line per bucket.
 #[derive(Debug, Clone, Copy)]
 #[repr(C, align(64))]
 struct CacheLine([u64; LANES]);
 
 const EMPTY_LINE: CacheLine = CacheLine([EMPTY_SLOT; LANES]);
-
-/// Process-wide default layout for newly created tables:
-/// 0 = unresolved (consult the environment once), 1 = linear,
-/// 2 = bucketized.
-static DEFAULT_LAYOUT: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides the process default [`TableLayout`] for tables created
-/// afterwards. The in-process hook behind the byte-identity sweeps;
-/// normal runs leave the default alone (bucketized, or whatever
-/// `NUCHASE_FORCE_BUCKET_LAYOUT` forces).
-pub fn set_table_layout(layout: TableLayout) {
-    DEFAULT_LAYOUT.store(
-        match layout {
-            TableLayout::Linear => 1,
-            TableLayout::Bucketized => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The layout newly created tables will use.
-pub fn default_table_layout() -> TableLayout {
-    match DEFAULT_LAYOUT.load(Ordering::Relaxed) {
-        1 => TableLayout::Linear,
-        2 => TableLayout::Bucketized,
-        _ => {
-            // First touch: resolve NUCHASE_FORCE_BUCKET_LAYOUT (`0` or
-            // `false` forces linear, `1`/`true` or unset means
-            // bucketized; anything else warns once and keeps the
-            // default). Racing first touches resolve identically.
-            let layout = match std::env::var("NUCHASE_FORCE_BUCKET_LAYOUT").ok().as_deref() {
-                Some("0") | Some("false") => TableLayout::Linear,
-                Some("1") | Some("true") | None => TableLayout::Bucketized,
-                Some(other) => {
-                    eprintln!(
-                        "nuchase: ignoring malformed NUCHASE_FORCE_BUCKET_LAYOUT={other:?} \
-                         (expected 0/1/true/false); using the bucketized layout"
-                    );
-                    TableLayout::Bucketized
-                }
-            };
-            set_table_layout(layout);
-            layout
-        }
-    }
-}
 
 /// A grow-only open-addressing index shared by the workspace's
 /// arena-backed stores (instance dedup, trigger-key sets, null
@@ -167,9 +97,11 @@ pub fn default_table_layout() -> TableLayout {
 /// packing the high 32 hash bits as a cheap rejection tag, so a probe
 /// touches a single cache line before the caller's authoritative
 /// verification runs against its own arena. Slots live in 64-byte
-/// aligned cache lines; the probe order over them is the table's
-/// [`TableLayout`] (fixed at creation). Invariants the callers rely
-/// on (and must preserve):
+/// aligned cache lines, and a probe is cache-line-bucketized: the low
+/// hash bits pick a line, and the probe scans all 8 of its lanes
+/// before moving to the next line, so a probe resolves within one line
+/// unless that whole line is full. Invariants the callers rely on (and
+/// must preserve):
 ///
 /// * **grow before probing for insertion** — [`TagTable::reserve_one`]
 ///   first, then [`TagTable::probe`], then [`TagTable::fill`] with the
@@ -177,23 +109,12 @@ pub fn default_table_layout() -> TableLayout {
 ///   slot index;
 /// * **collision safety** — a tag match is never trusted; the `eq`
 ///   closure must compare the real key;
-/// * load factor stays below ¾; no deletions, so neither probe order
-///   needs tombstones.
-#[derive(Debug, Clone)]
+/// * load factor stays below ¾; no deletions, so the probe needs no
+///   tombstones.
+#[derive(Debug, Clone, Default)]
 pub struct TagTable {
     lines: Vec<CacheLine>,
     len: usize,
-    bucketized: bool,
-}
-
-impl Default for TagTable {
-    fn default() -> Self {
-        TagTable {
-            lines: Vec::new(),
-            len: 0,
-            bucketized: default_table_layout() == TableLayout::Bucketized,
-        }
-    }
 }
 
 const EMPTY_SLOT: u64 = u64::MAX;
@@ -213,28 +134,9 @@ pub enum TagProbe {
 }
 
 impl TagTable {
-    /// Creates an empty table with the process-default [`TableLayout`].
+    /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty table with an explicit probe layout (tests and
-    /// benchmarks; production tables take the process default).
-    pub fn with_layout(layout: TableLayout) -> Self {
-        TagTable {
-            lines: Vec::new(),
-            len: 0,
-            bucketized: layout == TableLayout::Bucketized,
-        }
-    }
-
-    /// The probe order this table was created with.
-    pub fn layout(&self) -> TableLayout {
-        if self.bucketized {
-            TableLayout::Bucketized
-        } else {
-            TableLayout::Linear
-        }
     }
 
     /// Number of stored entries.
@@ -262,44 +164,29 @@ impl TagTable {
     #[inline]
     pub fn probe(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> TagProbe {
         let tag = hash >> 32;
-        if self.bucketized {
-            let lmask = self.lines.len() - 1;
-            let mut g = (hash as usize) & lmask;
-            // Ring scan from a hash-derived start slot: entries with
-            // different hashes sharing a line start at different slots,
-            // so a hit usually lands on its first comparison (as in the
-            // linear layout) while the traversal still touches at most
-            // one line per eight probes. Bits 25.. are disjoint from
-            // the line index (low bits), the partition (28..), and the
-            // tag (32..) at every realistic capacity.
-            let s = ((hash >> 25) as usize) & 7;
-            loop {
-                let line = &self.lines[g].0;
-                for dk in 0..LANES {
-                    let k = (s + dk) & 7;
-                    let slot = line[k];
-                    if slot == EMPTY_SLOT {
-                        return TagProbe::Vacant((g << 3) | k);
-                    }
-                    if slot >> 32 == tag && eq(slot as u32) {
-                        return TagProbe::Found(slot as u32);
-                    }
-                }
-                g = (g + 1) & lmask;
-            }
-        } else {
-            let mask = (self.lines.len() << 3) - 1;
-            let mut i = (hash as usize) & mask;
-            loop {
-                let slot = self.slot_at(i);
+        let lmask = self.lines.len() - 1;
+        let mut g = (hash as usize) & lmask;
+        // Ring scan from a hash-derived start slot: entries with
+        // different hashes sharing a line start at different slots, so
+        // a hit usually lands on its first comparison while the
+        // traversal still touches at most one line per eight probes.
+        // Bits 25.. are disjoint from the line index (low bits), the
+        // partition (28..), and the tag (32..) at every realistic
+        // capacity.
+        let s = ((hash >> 25) as usize) & 7;
+        loop {
+            let line = &self.lines[g].0;
+            for dk in 0..LANES {
+                let k = (s + dk) & 7;
+                let slot = line[k];
                 if slot == EMPTY_SLOT {
-                    return TagProbe::Vacant(i);
+                    return TagProbe::Vacant((g << 3) | k);
                 }
                 if slot >> 32 == tag && eq(slot as u32) {
                     return TagProbe::Found(slot as u32);
                 }
-                i = (i + 1) & mask;
             }
+            g = (g + 1) & lmask;
         }
     }
 
@@ -313,11 +200,7 @@ impl TagTable {
     pub fn prefetch(&self, hash: u64) {
         #[cfg(target_arch = "x86_64")]
         if !self.lines.is_empty() {
-            let g = if self.bucketized {
-                (hash as usize) & (self.lines.len() - 1)
-            } else {
-                ((hash as usize) & ((self.lines.len() << 3) - 1)) >> 3
-            };
+            let g = (hash as usize) & (self.lines.len() - 1);
             // SAFETY: `g` is in bounds and prefetch dereferences nothing.
             unsafe {
                 std::arch::x86_64::_mm_prefetch(
@@ -359,8 +242,8 @@ impl TagTable {
     /// intervening rehash; check [`TagTable::slot_count`]): entries are
     /// never moved or deleted, so the chain prefix before `start` is
     /// immutable and need not be re-walked. Later insertions can only
-    /// have landed at or after `start` in the probe order (both layouts
-    /// insert into the first vacant slot of the same traversal).
+    /// have landed at or after `start` in the probe order (an insertion
+    /// takes the first vacant slot of the same traversal).
     ///
     /// # Panics
     /// Same contract as [`TagTable::probe`]: the table must have spare
@@ -368,44 +251,29 @@ impl TagTable {
     #[inline]
     pub fn probe_at(&self, start: usize, hash: u64, mut eq: impl FnMut(u32) -> bool) -> TagProbe {
         let tag = hash >> 32;
-        if self.bucketized {
-            let lmask = self.lines.len() - 1;
-            let start = start & ((self.lines.len() << 3) - 1);
-            let s = ((hash >> 25) as usize) & 7;
-            let mut g = start >> 3;
-            // Resume position within the line's ring scan: the hash
-            // gives the ring's start slot, so `(k - s) & 7` recovers
-            // how far into the ring the handed-back slot sits.
-            let mut dk = (start & 7).wrapping_sub(s) & 7;
-            loop {
-                let line = &self.lines[g].0;
-                while dk < LANES {
-                    let k = (s + dk) & 7;
-                    let slot = line[k];
-                    if slot == EMPTY_SLOT {
-                        return TagProbe::Vacant((g << 3) | k);
-                    }
-                    if slot >> 32 == tag && eq(slot as u32) {
-                        return TagProbe::Found(slot as u32);
-                    }
-                    dk += 1;
-                }
-                g = (g + 1) & lmask;
-                dk = 0;
-            }
-        } else {
-            let mask = (self.lines.len() << 3) - 1;
-            let mut i = start & mask;
-            loop {
-                let slot = self.slot_at(i);
+        let lmask = self.lines.len() - 1;
+        let start = start & ((self.lines.len() << 3) - 1);
+        let s = ((hash >> 25) as usize) & 7;
+        let mut g = start >> 3;
+        // Resume position within the line's ring scan: the hash gives
+        // the ring's start slot, so `(k - s) & 7` recovers how far into
+        // the ring the handed-back slot sits.
+        let mut dk = (start & 7).wrapping_sub(s) & 7;
+        loop {
+            let line = &self.lines[g].0;
+            while dk < LANES {
+                let k = (s + dk) & 7;
+                let slot = line[k];
                 if slot == EMPTY_SLOT {
-                    return TagProbe::Vacant(i);
+                    return TagProbe::Vacant((g << 3) | k);
                 }
                 if slot >> 32 == tag && eq(slot as u32) {
                     return TagProbe::Found(slot as u32);
                 }
-                i = (i + 1) & mask;
+                dk += 1;
             }
+            g = (g + 1) & lmask;
+            dk = 0;
         }
     }
 
@@ -418,29 +286,20 @@ impl TagTable {
 
     /// Places `packed` into the first vacant slot of the probe order for
     /// `hash` — the rehash half of [`TagTable::reserve_one`].
-    fn place(lines: &mut [CacheLine], bucketized: bool, hash: u64, packed: u64) {
-        if bucketized {
-            let lmask = lines.len() - 1;
-            let mut g = (hash as usize) & lmask;
-            let s = ((hash >> 25) as usize) & 7;
-            loop {
-                let line = &mut lines[g].0;
-                for dk in 0..LANES {
-                    let k = (s + dk) & 7;
-                    if line[k] == EMPTY_SLOT {
-                        line[k] = packed;
-                        return;
-                    }
+    fn place(lines: &mut [CacheLine], hash: u64, packed: u64) {
+        let lmask = lines.len() - 1;
+        let mut g = (hash as usize) & lmask;
+        let s = ((hash >> 25) as usize) & 7;
+        loop {
+            let line = &mut lines[g].0;
+            for dk in 0..LANES {
+                let k = (s + dk) & 7;
+                if line[k] == EMPTY_SLOT {
+                    line[k] = packed;
+                    return;
                 }
-                g = (g + 1) & lmask;
             }
-        } else {
-            let mask = (lines.len() << 3) - 1;
-            let mut i = (hash as usize) & mask;
-            while lines[i >> 3].0[i & 7] != EMPTY_SLOT {
-                i = (i + 1) & mask;
-            }
-            lines[i >> 3].0[i & 7] = packed;
+            g = (g + 1) & lmask;
         }
     }
 
@@ -457,12 +316,7 @@ impl TagTable {
                 for &slot in &line.0 {
                     if slot != EMPTY_SLOT {
                         let hash = hashes[(slot as u32) as usize];
-                        Self::place(
-                            &mut lines,
-                            self.bucketized,
-                            hash,
-                            pack_slot(hash, slot as u32),
-                        );
+                        Self::place(&mut lines, hash, pack_slot(hash, slot as u32));
                     }
                 }
             }
@@ -614,11 +468,11 @@ mod tests {
         assert_eq!(m.get(&Term::Const(ConstId(3))), Some(&7));
     }
 
-    /// Drives a table through insert / find / clear_sparse cycles and a
-    /// rehash, checking membership against a reference map.
-    fn exercise_layout(layout: TableLayout) {
-        let mut table = TagTable::with_layout(layout);
-        assert_eq!(table.layout(), layout);
+    /// Drives a table through inserts and rehashes, checking membership
+    /// against the inserted keys and hint resumption after a miss.
+    #[test]
+    fn bucketized_layout_membership_survives_growth() {
+        let mut table = TagTable::new();
         let mut hashes: Vec<u64> = Vec::new();
         let key_hash = |k: u64| {
             let h = fold(fold(0, 1), k);
@@ -667,20 +521,10 @@ mod tests {
     }
 
     #[test]
-    fn linear_layout_membership_survives_growth() {
-        exercise_layout(TableLayout::Linear);
-    }
-
-    #[test]
-    fn bucketized_layout_membership_survives_growth() {
-        exercise_layout(TableLayout::Bucketized);
-    }
-
-    #[test]
     fn cache_lines_are_64_byte_aligned() {
         assert_eq!(std::mem::size_of::<CacheLine>(), 64);
         assert_eq!(std::mem::align_of::<CacheLine>(), 64);
-        let t = TagTable::with_layout(TableLayout::Bucketized);
+        let t = TagTable::new();
         assert_eq!(t.slot_count(), 0);
         assert_eq!(t.heap_bytes(), 0);
     }

@@ -718,15 +718,10 @@ impl Instance {
 
     /// Prefetches the dedup-table cache line a probe for `hash` will
     /// touch — the batched-probe API's distance-k warm-up for the
-    /// snapshot containment checks of the resolve stage. A no-op when
-    /// the table was created with the linear (pre-tier) layout, so
-    /// `NUCHASE_FORCE_BUCKET_LAYOUT=0` reverts the memory-locality tier
-    /// as a faithful baseline.
+    /// snapshot containment checks of the resolve stage.
     #[inline]
     pub fn prefetch_probe(&self, hash: u64) {
-        if self.table.layout() == crate::hash::TableLayout::Bucketized {
-            self.table.prefetch(hash);
-        }
+        self.table.prefetch(hash);
     }
 
     /// Iterates over all atoms in insertion order.

@@ -2,22 +2,21 @@
 //! bucketized table layout, the partitioned batched-probe passes, and
 //! the chunked (optionally file-backed) instance arenas must all be
 //! unobservable through the engine API — same atoms at the same
-//! indexes, same null names and depths, same counters — across table
-//! layouts forced on/off, thread counts 0/1/2, and both apply paths.
+//! indexes, same null names and depths, same counters — across thread
+//! counts 0/1/2 and both apply paths.
 //!
-//! The tests share process-global knobs (the table-layout default and
-//! the arena spill directory), so they serialize on one lock; the arena
-//! chunk length is pinned tiny for the whole binary so every chase in
-//! here crosses chunk seams constantly.
+//! The spill test sets the process-global arena spill directory, so the
+//! tests serialize on one lock; the arena chunk length is pinned tiny
+//! for the whole binary so every chase in here crosses chunk seams
+//! constantly.
 
 use std::sync::Mutex;
 
 use nuchase_engine::{chase, ApplyPath, ChaseBudget, ChaseConfig, ChaseResult, ChaseVariant};
 use nuchase_gen::{random_program, RandomConfig};
-use nuchase_model::hash::{set_table_layout, TableLayout};
 use nuchase_model::TgdClass;
 
-/// Serializes the tests around the process-global layout/spill knobs.
+/// Serializes the tests around the process-global spill knob.
 static KNOBS: Mutex<()> = Mutex::new(());
 
 /// Pins the arena chunk length to 64 elements for this test binary
@@ -50,11 +49,9 @@ fn assert_byte_identical(a: &ChaseResult, b: &ChaseResult, label: &str) {
     }
 }
 
-/// The tentpole sweep: table layout (linear vs cache-line bucketized)
-/// × threads 0/1/2 × both apply paths, against one linear/sequential
-/// reference per program — all twelve combinations must be
-/// byte-identical. This is the in-process form of the CI
-/// `NUCHASE_FORCE_BUCKET_LAYOUT=0/1` differential legs.
+/// The tentpole sweep: threads 0/1/2 × both apply paths against one
+/// sequential auto-path reference per program — all six combinations
+/// must be byte-identical.
 #[test]
 fn bucketized_layout_is_byte_identical_across_threads_and_paths() {
     let _guard = KNOBS.lock().unwrap();
@@ -65,54 +62,40 @@ fn bucketized_layout_is_byte_identical_across_threads_and_paths() {
         ChaseVariant::Oblivious,
         ChaseVariant::Restricted,
     ];
-    // The program is regenerated (same seed, so identical content) after
-    // every layout flip: the engine chases a clone of the database, and a
-    // table's layout is fixed at creation, so a database built once would
-    // pin the instance-dedup table to one layout across the whole sweep.
-    let gen = |class, seed| {
-        random_program(&RandomConfig {
-            class,
-            seed,
-            ..Default::default()
-        })
-    };
     for class in classes {
         for seed in 0..3u64 {
+            let p = random_program(&RandomConfig {
+                class,
+                seed,
+                ..Default::default()
+            });
             for variant in variants {
                 let base_cfg = ChaseConfig {
                     variant,
                     budget: ChaseBudget::atoms(3_000),
                     ..Default::default()
                 };
-                set_table_layout(TableLayout::Linear);
-                let p = gen(class, seed);
                 let reference = chase(&p.database, &p.tgds, &base_cfg);
-                for layout in [TableLayout::Linear, TableLayout::Bucketized] {
-                    set_table_layout(layout);
-                    let p = gen(class, seed);
-                    for threads in [0usize, 1, 2] {
-                        for path in [ApplyPath::Fused, ApplyPath::Pipeline] {
-                            let run = chase(
-                                &p.database,
-                                &p.tgds,
-                                &ChaseConfig {
-                                    threads,
-                                    apply_path: path,
-                                    ..base_cfg
-                                },
-                            );
-                            assert_byte_identical(
-                                &reference,
-                                &run,
-                                &format!(
-                                    "{class:?} seed {seed} {variant:?} \
-                                     {layout:?} threads {threads} {path:?}"
-                                ),
-                            );
-                        }
+                for threads in [0usize, 1, 2] {
+                    for path in [ApplyPath::Fused, ApplyPath::Pipeline] {
+                        let run = chase(
+                            &p.database,
+                            &p.tgds,
+                            &ChaseConfig {
+                                threads,
+                                apply_path: path,
+                                ..base_cfg
+                            },
+                        );
+                        assert_byte_identical(
+                            &reference,
+                            &run,
+                            &format!(
+                                "{class:?} seed {seed} {variant:?} threads {threads} {path:?}"
+                            ),
+                        );
                     }
                 }
-                set_table_layout(TableLayout::Bucketized);
             }
         }
     }
@@ -123,6 +106,9 @@ fn bucketized_layout_is_byte_identical_across_threads_and_paths() {
 /// routed to a temp directory is byte-identical to the heap-backed run,
 /// while the instance actually holds mmap-backed bytes (asserted), and
 /// the tiny chunk length means its term pool crosses many chunk seams.
+/// Every byte the spilled run keeps in files is a byte its heap does
+/// not hold: the heap run's peak instance footprint exceeds the spilled
+/// run's by exactly the spilled instance's file-backed bytes.
 #[test]
 fn file_backed_chunks_are_byte_identical_to_heap_chunks() {
     let _guard = KNOBS.lock().unwrap();
@@ -152,5 +138,10 @@ fn file_backed_chunks_are_byte_identical_to_heap_chunks() {
     assert!(
         spilled.instance.file_bytes() > 0,
         "spill run kept every chunk on the heap"
+    );
+    assert_eq!(
+        heap.stats.peak_instance_bytes - spilled.stats.peak_instance_bytes,
+        spilled.instance.file_bytes(),
+        "the spill tier moved a different byte count off the heap than it holds in files"
     );
 }
