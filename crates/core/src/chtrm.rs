@@ -226,4 +226,38 @@ mod tests {
     // Divergence *proofs* by the naive decider require chasing all the
     // way to |D|·f_C(Σ) atoms (≈ 5·10⁷ even for the two-atom successor
     // rule) — exercised by the E10/E11 benches, not by unit tests.
+
+    /// Every guarded decide interns its type and simplified predicates
+    /// afresh, so on a shared symbol table each name collides with the
+    /// previous call's. The names must stay within a few bytes of their
+    /// bases however many calls share the table.
+    #[test]
+    fn repeated_decides_keep_predicate_names_short() {
+        let mut p = parse_program(
+            "emp(X, D), active(X) -> worksfor(X, D, M).\n\
+             worksfor(X, D, M) -> mgr(M, D).\n\
+             mgr(M, D), senior(D) -> emp(M, D), active(M).\n\
+             emp(X, D) -> dept(D).\n\
+             emp(e0, d0).\nactive(e0).\nsenior(d0).\nemp(e1, d1).\nactive(e1).",
+        )
+        .unwrap();
+        let longest = |symbols: &SymbolTable| {
+            (0..symbols.pred_count() as u32)
+                .map(|i| symbols.pred_name(nuchase_model::PredId(i)).len())
+                .max()
+                .unwrap()
+        };
+        assert!(!decide(&p.database, &p.tgds, &mut p.symbols).unwrap());
+        let first = longest(&p.symbols);
+        for _ in 1..300 {
+            assert!(!decide(&p.database, &p.tgds, &mut p.symbols).unwrap());
+        }
+        // At most two `'<id>` suffixes (a type's and its simplification's).
+        let suffix = 1 + p.symbols.pred_count().to_string().len();
+        assert!(
+            longest(&p.symbols) <= first + 2 * suffix,
+            "a predicate name grew from {first} to {} bytes",
+            longest(&p.symbols)
+        );
+    }
 }

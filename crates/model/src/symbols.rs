@@ -138,10 +138,17 @@ impl SymbolTable {
     /// Creates a fresh predicate whose name is guaranteed not to collide
     /// with any interned name, derived from `base`. Used by the rewriting
     /// crates for simplified predicates `R^{id}` and type predicates `[τ]`.
+    ///
+    /// A colliding `base` gets the new predicate's id appended (`base'17`),
+    /// so the name stays within a few bytes of `base` however often `base`
+    /// is reused on one table; the id counts up only past a name that
+    /// already exists.
     pub fn fresh_pred(&mut self, base: &str, arity: usize) -> PredId {
+        let mut n = self.preds.len();
         let mut name = base.to_owned();
         while self.preds.lookup(&name).is_some() {
-            name.push('\'');
+            name = format!("{base}'{n}");
+            n += 1;
         }
         self.pred(&name, arity).expect("fresh name cannot collide")
     }
@@ -231,6 +238,16 @@ mod tests {
         // A second fresh from the same base is again distinct.
         let g = syms.fresh_pred("R", 5);
         assert_ne!(f, g);
+        // Reusing a base keeps names within a few bytes of it.
+        for _ in 0..1000 {
+            let p = syms.fresh_pred("R", 2);
+            assert!(syms.pred_name(p).len() <= "R'1002".len());
+        }
+        assert_eq!(syms.pred_count(), 1003);
+        // A `base'id` name that already exists is stepped over.
+        syms.pred("R'1004", 1).unwrap();
+        let h = syms.fresh_pred("R", 1);
+        assert_eq!(syms.pred_name(h), "R'1005");
     }
 
     #[test]

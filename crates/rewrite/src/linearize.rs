@@ -30,7 +30,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use nuchase_model::hom::for_each_hom_seeded;
 use nuchase_model::{Atom, Instance, PredId, SymbolTable, Term, Tgd, TgdClass, TgdSet};
 
-use crate::complete::{canonicalize_type, CanonType, CompleteBudget, CompletionEngine};
+use crate::complete::{type_of, CanonType, CompleteBudget, CompletionEngine};
 use crate::error::RewriteError;
 use crate::simplify::{simplify, Simplified};
 
@@ -138,44 +138,47 @@ pub fn linearize_with(
     let mut engine = CompletionEngine::new(tgds, symbols, budget.complete)?;
     // Integer constants for head-type construction: positions 1..ar(Σ)
     // come from the engine pool; existentials use ar(Σ)+1, ar(Σ)+2, ….
+    // A database atom of a predicate no rule mentions can be wider still,
+    // and its type needs one constant per distinct term.
     let max_exist = tgds
         .iter()
         .map(|(_, t)| t.existentials().len())
         .max()
         .unwrap_or(0);
     let ar = tgds.max_arity().max(1);
-    let ints: Vec<Term> = (1..=ar + max_exist)
+    let widest_fact = db.iter().map(|a| a.arity()).max().unwrap_or(0);
+    let ints: Vec<Term> = (1..=(ar + max_exist).max(widest_fact))
         .map(|i| Term::Const(symbols.constant(&format!("~{i}"))))
         .collect();
 
     let mut registry = TypeRegistry::new();
-    let mut worklist: VecDeque<CanonType> = VecDeque::new();
+    // Type predicates whose rules are still to be made.
+    let mut worklist: VecDeque<PredId> = VecDeque::new();
     let mut lin_db = Instance::new();
 
     // --- lin(D): one [τ](t̄) per database atom. ---
     let completion = engine.complete(db)?;
     for alpha in db.iter() {
-        let dom = alpha.dom();
-        let ty_atoms: Vec<Atom> = crate::complete::atoms_over_dom(&completion, &dom);
-        let alpha_owned = alpha.to_atom();
-        let (ty, _inv) = canonicalize_type(&alpha_owned, &ty_atoms, &ints);
-        let (pred, new) = registry.intern(symbols, ty.clone());
+        let (pred, new) = registry.intern(symbols, type_of(alpha, &completion, &ints));
         if new {
-            worklist.push_back(ty);
+            worklist.push_back(pred);
         }
-        lin_db.insert(Atom::new(pred, alpha.args.to_vec()));
+        lin_db.insert_terms(pred, alpha.args);
     }
 
     // --- lin(Σ): worklist over reachable types. ---
     let mut out = TgdSet::default();
     let mut rule_keys: HashSet<(Atom, Vec<Atom>)> = HashSet::new();
-    while let Some(ty) = worklist.pop_front() {
+    while let Some(ty_pred) = worklist.pop_front() {
         if registry.len() > budget.max_types {
             return Err(RewriteError::Budget {
                 what: format!("type predicates ({})", budget.max_types),
             });
         }
-        let ty_pred = registry.get_pred(&ty).expect("worklist types are interned");
+        let ty = registry
+            .get_type(ty_pred)
+            .expect("worklist types are interned")
+            .clone();
         let ty_instance: Instance = std::iter::once(ty.guard.clone())
             .chain(ty.side.iter().cloned())
             .collect();
@@ -245,12 +248,10 @@ pub fn linearize_with(
 
                 let mut head_atoms: Vec<Atom> = Vec::with_capacity(alphas.len());
                 for (alpha_i, head_pat) in alphas.iter().zip(tgd.head().iter()) {
-                    let dom_i = alpha_i.dom();
-                    let t_i: Vec<Atom> = crate::complete::atoms_over_dom(&completed, &dom_i);
-                    let (ty_i, _inv) = canonicalize_type(alpha_i, &t_i, &ints);
-                    let (pred_i, new) = registry.intern(symbols, ty_i.clone());
+                    let ty_i = type_of(alpha_i.as_ref(), &completed, &ints);
+                    let (pred_i, new) = registry.intern(symbols, ty_i);
                     if new {
-                        worklist.push_back(ty_i);
+                        worklist.push_back(pred_i);
                     }
                     head_atoms.push(Atom::new(pred_i, head_pat.args.clone()));
                 }
@@ -421,6 +422,19 @@ mod tests {
         let (gs, _reg) = gsimple(&p.database, &p.tgds, &mut p.symbols).unwrap();
         assert!(gs.tgds.iter().all(|(_, t)| t.is_simple_linear()));
         assert!(!gs.database.is_empty());
+    }
+
+    /// A fact of a predicate no rule mentions may be wider than every
+    /// rule atom; its type still gets a canonical constant per term.
+    #[test]
+    fn facts_wider_than_every_rule_atom_linearize() {
+        let mut p = parse_program("p(a, b, c).\nq(a).\nq(X), s(X) -> r(X).").unwrap();
+        let lin = linearize(&p.database, &p.tgds, &mut p.symbols).unwrap();
+        assert_eq!(lin.database.len(), 2);
+        let wide = lin.database.iter().find(|a| a.arity() == 3).unwrap();
+        let ty = lin.registry.get_type(wide.pred).unwrap();
+        assert_eq!(ty.guard.args.len(), 3);
+        assert_ne!(ty.guard.args[1], ty.guard.args[2]);
     }
 
     #[test]

@@ -22,7 +22,8 @@ use crate::error::RewriteError;
 /// `(R, ℓ̄)`.
 #[derive(Debug, Default, Clone)]
 pub struct SimpleMap {
-    forward: HashMap<(PredId, Box<[u8]>), PredId>,
+    /// `R` → `ℓ̄` → `R^{ℓ̄}`: nested, so that a lookup borrows `ℓ̄`.
+    forward: HashMap<PredId, HashMap<Box<[u8]>, PredId>>,
     backward: HashMap<PredId, (PredId, Box<[u8]>)>,
 }
 
@@ -41,7 +42,7 @@ impl SimpleMap {
         pred: PredId,
         id_tuple: &[u8],
     ) -> PredId {
-        if let Some(&p) = self.forward.get(&(pred, Box::from(id_tuple))) {
+        if let Some(&p) = self.forward.get(&pred).and_then(|m| m.get(id_tuple)) {
             return p;
         }
         let unique_len = id_tuple.iter().copied().max().unwrap_or(0) as usize;
@@ -62,7 +63,10 @@ impl SimpleMap {
             s
         };
         let p = symbols.fresh_pred(&name, unique_len);
-        self.forward.insert((pred, Box::from(id_tuple)), p);
+        self.forward
+            .entry(pred)
+            .or_default()
+            .insert(Box::from(id_tuple), p);
         self.backward.insert(p, (pred, Box::from(id_tuple)));
         p
     }
@@ -91,9 +95,27 @@ impl SimpleMap {
 
 /// `simple(α) = R^{id(t̄)}(unique(t̄))` for a single atom.
 pub fn simplify_atom(atom: &Atom, map: &mut SimpleMap, symbols: &mut SymbolTable) -> Atom {
-    let id = atom.id_tuple();
-    let pred = map.simple_pred(symbols, atom.pred, &id);
-    Atom::new(pred, atom.unique_terms())
+    let (mut id, mut unique) = (Vec::new(), Vec::new());
+    id_and_unique(&atom.args, &mut id, &mut unique);
+    Atom::new(map.simple_pred(symbols, atom.pred, &id), unique)
+}
+
+/// `id(t̄)` and `unique(t̄)` of a tuple, into cleared buffers: `unique`
+/// holds the distinct terms in first-occurrence order, and `id[i]` the
+/// 1-based position of `tᵢ` in it.
+fn id_and_unique(args: &[Term], id: &mut Vec<u8>, unique: &mut Vec<Term>) {
+    id.clear();
+    unique.clear();
+    for &t in args {
+        let at = match unique.iter().position(|&u| u == t) {
+            Some(at) => at,
+            None => {
+                unique.push(t);
+                unique.len() - 1
+            }
+        };
+        id.push(u8::try_from(at + 1).expect("arity fits in u8"));
+    }
 }
 
 /// `simple(D)`: the simplification of every fact of a database.
@@ -102,9 +124,13 @@ pub fn simplify_database(
     map: &mut SimpleMap,
     symbols: &mut SymbolTable,
 ) -> Instance {
-    db.iter()
-        .map(|a| simplify_atom(&a.to_atom(), map, symbols))
-        .collect()
+    let mut out = Instance::new();
+    let (mut id, mut unique) = (Vec::new(), Vec::new());
+    for atom in db.iter() {
+        id_and_unique(atom.args, &mut id, &mut unique);
+        out.insert_terms(map.simple_pred(symbols, atom.pred, &id), &unique);
+    }
+    out
 }
 
 /// Enumerates the *specializations* of a variable tuple (Definition 7.2):
